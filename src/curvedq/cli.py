@@ -74,10 +74,10 @@ def _cell(value, digits):
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_curvature(ns, cfg):
-    digits = _opt(ns, cfg, "digits", _DEFAULT_DIGITS)
+    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     fmt = _opt(ns, cfg, "format", "csv")
     q = _opt(ns, cfg, "q", 0.0)
-    points = _opt(ns, cfg, "points", 100)
+    points = _at_least(ns, cfg, "points", 100, 1)
     wmin = _opt(ns, cfg, "wmin", None)
     wmax = _opt(ns, cfg, "wmax", None)
 
@@ -122,9 +122,9 @@ def _cmd_curvature(ns, cfg):
 
 
 def _cmd_spectrum(ns, cfg):
-    digits = _opt(ns, cfg, "digits", _DEFAULT_DIGITS)
+    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     fmt = _opt(ns, cfg, "format", "json")
-    n_states = _opt(ns, cfg, "states", 8)
+    n_states = _at_least(ns, cfg, "states", 8, 1)
     problem = torus.TorusProblem(
         alpha=ns.alpha,
         nu=_opt(ns, cfg, "nu", 0),
@@ -161,7 +161,7 @@ def _cmd_spectrum(ns, cfg):
 
 
 def _cmd_compare(ns, cfg):
-    digits = _opt(ns, cfg, "digits", _DEFAULT_DIGITS)
+    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     fmt = _opt(ns, cfg, "format", "table")
     n_max = _opt(ns, cfg, "nmax", 24)
     n_quad = _opt(ns, cfg, "nquad", 128)
@@ -190,7 +190,7 @@ def _cmd_compare(ns, cfg):
 
 
 def _cmd_magic(ns, cfg):
-    digits = _opt(ns, cfg, "digits", _DEFAULT_DIGITS)
+    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     payload = {
         "nu": ns.nu,
         "laplacian": _round(torus.magic_alpha(ns.nu, "laplacian"), digits),
@@ -243,6 +243,7 @@ def selfadjointness_defect(coeffs, grid):
 
 
 def _cmd_check(ns, cfg):
+    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     samples = _opt(ns, cfg, "samples", 100)
     seed = _opt(ns, cfg, "seed", 7)
     alpha = _opt(ns, cfg, "alpha", 0.5)
@@ -283,7 +284,7 @@ def _cmd_check(ns, cfg):
             "ordering_selfadjointness_defect": defects,
         },
     }
-    return emit(payload, "json", _opt(ns, cfg, "digits", _DEFAULT_DIGITS))
+    return emit(payload, "json", digits)
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -295,6 +296,14 @@ def _opt(ns, cfg, name, default):
     if cfg and name in cfg:
         return cfg[name]
     return default
+
+
+def _at_least(ns, cfg, name, default, low):
+    """_opt for an integer setting, refusing a non-integer or a value below `low` (exit code 1)."""
+    value = _opt(ns, cfg, name, default)
+    if not isinstance(value, int) or value < low:
+        raise ValueError(f"--{name} must be an integer of at least {low}, got {value!r}")
+    return value
 
 
 def _add_common(sub, formats):

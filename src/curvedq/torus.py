@@ -21,10 +21,14 @@ odd (sine) parity block.  Matrices are assembled in the weak form
 
 with the periodic trapezoid rule (spectrally accurate here), the
 generalized problem is whitened by the Cholesky factor of S, and the dense
-symmetric result is diagonalized by cyclic Jacobi rotations.  Eigenvectors
-are reported in the raw {1, cos n theta} / {sin n theta} basis, normalized
-so that int |psi|^2 u dtheta = 1, with the largest-magnitude coefficient
-positive.
+symmetric result is diagonalized by LAPACK through numpy's `eigh` (the
+symmetric-definite reduction of LAPACK dsygv; Golub & Van Loan, Matrix
+Computations, sec. 8.7).  numpy is the only runtime dependency: the
+triangular solves are a short substitution here.  `jacobi_eigh`, a pure
+Python cyclic Jacobi solver, is kept as the reference solver for
+cross-checks and is not on the solve path.  Eigenvectors are reported in
+the raw {1, cos n theta} / {sin n theta} basis, normalized so that
+int |psi|^2 u dtheta = 1, with the largest-magnitude coefficient positive.
 
 Special values of alpha kill the azimuthal part of W ("magic" aspect
 ratios): alpha = 1/(2 nu) for the laplacian form and
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 FORMULATIONS = ("laplacian", "hermitian")
 PARITIES = ("even", "odd")
@@ -49,9 +52,10 @@ class JacobiConvergenceError(RuntimeError):
 class TorusProblem:
     """One eigenproblem configuration.
 
-    nu is reduced to |nu| (the spectrum depends on nu only through nu^2;
-    states carry e^(+-i nu phi)).  n_quad must stay comfortably above the
-    basis bandwidth so the trapezoid rule is spectrally converged.
+    nu must be integral (2.0 is accepted, 1.7 refused) and is reduced to
+    |nu| (the spectrum depends on nu only through nu^2; states carry
+    e^(+-i nu phi)).  n_quad must stay comfortably above the basis
+    bandwidth so the trapezoid rule is spectrally converged.
     """
 
     alpha: float
@@ -65,7 +69,13 @@ class TorusProblem:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}, got {self.formulation!r}")
-        object.__setattr__(self, "nu", abs(int(self.nu)))
+        try:
+            nu = int(self.nu)
+        except (TypeError, ValueError, OverflowError):
+            nu = None
+        if nu is None or nu != self.nu:
+            raise ValueError(f"nu must be an integer, got {self.nu!r}")
+        object.__setattr__(self, "nu", abs(nu))
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
         if self.n_quad < 4 * self.n_max + 8:
@@ -162,12 +172,28 @@ def overlap_analytic(alpha, parity, n_max):
     return s
 
 
+def solve_triangular(a, b, lower=False):
+    """Solve a x = b for a triangular matrix a by forward or back substitution.
+
+    b may be a vector or a matrix whose columns are solved together; only the
+    triangle of a named by `lower` is read.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.array(b, dtype=float, copy=True)
+    n = a.shape[0]
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        known = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (x[i] - a[i, known] @ x[known]) / a[i, i]
+    return x
+
+
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the Frobenius norm of the off-diagonal part drops to
-    `tol`.  Returns eigenvalues in ascending order with the matching
-    orthonormal eigenvector columns.
+    Reference solver kept for cross-checks against `np.linalg.eigh`; the
+    solve path does not use it.  Sweeps until the Frobenius norm of the
+    off-diagonal part drops to `tol`.  Returns eigenvalues in ascending
+    order with the matching orthonormal eigenvector columns.
     """
     a = np.array(matrix, dtype=float, copy=True)
     n = a.shape[0]
@@ -217,8 +243,8 @@ def solve_spectrum(problem):
     """Full spectrum of the problem, both parity blocks merged.
 
     Whitens H c = beta S c with the Cholesky factor of S (the quadrature S
-    is cross-checked against its closed form first), diagonalizes by
-    cyclic Jacobi, back-transforms, and normalizes each state to
+    is cross-checked against its closed form first), diagonalizes with
+    LAPACK `eigh`, back-transforms, and normalizes each state to
     int |psi|^2 u dtheta = 1 with the largest-magnitude coefficient
     positive.  Entries are sorted by ascending beta.
     """
@@ -232,7 +258,7 @@ def solve_spectrum(problem):
         chol = np.linalg.cholesky(s)  # u > 0 for alpha < 1, so S is positive definite
         half = solve_triangular(chol, h, lower=True)
         white = solve_triangular(chol, half.T, lower=True).T
-        vals, vecs = jacobi_eigh(0.5 * (white + white.T))
+        vals, vecs = np.linalg.eigh(0.5 * (white + white.T))
         coeffs = solve_triangular(chol.T, vecs, lower=False)
         for j in range(len(vals)):
             c = coeffs[:, j]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,63 @@ def test_spectrum_alpha_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert "alpha" in err
+
+
+def test_spectrum_rejects_states_below_one(tmp_path, capsys):
+    for states in ("0", "-1"):
+        code, out, err = _run(capsys, ["spectrum", "--alpha", "0.5", "--states", states])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--states" in err and err.count("\n") == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"states": 0}), encoding="utf-8")
+    code, out, err = _run(capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert "--states" in err
+
+
+def test_negative_digits_rejected(tmp_path, capsys):
+    for argv in (
+        ["spectrum", "--alpha", "0.5", "--digits", "-2"],
+        ["compare", "--alpha", "1/2", "--digits", "-1"],
+        ["magic", "--nu", "1", "--digits", "-1"],
+        ["curvature", "--torus", "3", "1", "--digits", "-1"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--digits" in err and err.count("\n") == 1
+    cfg = tmp_path / "cfg.json"
+    for digits in (-2, "4", 4.0):
+        cfg.write_text(json.dumps({"digits": digits}), encoding="utf-8")
+        code, out, err = _run(capsys, ["check", "--samples", "1", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--digits" in err
+    assert _run(capsys, ["magic", "--nu", "1", "--digits", "0"])[0] == 0
+
+
+def test_curvature_rejects_points_below_one(capsys):
+    for points in ("0", "-3"):
+        code, out, err = _run(capsys, ["curvature", "--torus", "3", "1", "--points", points])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--points" in err and err.count("\n") == 1
+    code, out, _ = _run(capsys, ["curvature", "--torus", "3", "1", "--points", "1"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import curvedq.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_2(capsys):

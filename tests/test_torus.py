@@ -11,6 +11,7 @@ from curvedq.torus import (
     magic_alpha,
     overlap_analytic,
     solve_spectrum,
+    solve_triangular,
     table_states,
     torus_operator,
     weak_form_matrices,
@@ -25,6 +26,15 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TorusProblem(0.5, 0, "laplacian", n_max=24, n_quad=32)
     assert TorusProblem(0.5, -3, "laplacian").nu == 3
+
+
+def test_problem_rejects_non_integer_nu():
+    for nu in (1.7, -0.5, float("nan"), float("inf"), "x"):
+        with pytest.raises(ValueError, match="nu"):
+            TorusProblem(0.5, nu, "laplacian")
+    assert TorusProblem(0.5, 2.0, "laplacian").nu == 2
+    assert TorusProblem(0.5, -2.0, "hermitian").nu == 2
+    assert TorusProblem(0.5, np.int64(-1), "hermitian").nu == 1
 
 
 def test_weight_function():
@@ -90,6 +100,21 @@ def test_jacobi_against_scipy_oracle():
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
 
 
+def test_solve_triangular_matches_scipy():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 25):
+        full = rng.normal(size=(n, n)) + n * np.eye(n)
+        for lower in (True, False):
+            tri = np.tril(full) if lower else np.triu(full)
+            for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                # only the named triangle is read, as in scipy
+                x = solve_triangular(full, b, lower=lower)
+                ref = scipy.linalg.solve_triangular(tri, b, lower=lower)
+                assert x.shape == ref.shape
+                assert np.max(np.abs(x - ref)) <= 1e-13
+                assert np.max(np.abs(tri @ x - b)) <= 1e-12
+
+
 def test_jacobi_reaches_offdiagonal_target():
     rng = np.random.default_rng(13)
     m = rng.normal(size=(29, 29)) * 100.0
@@ -98,6 +123,34 @@ def test_jacobi_reaches_offdiagonal_target():
     d = vecs.T @ a @ vecs
     off = math.sqrt(float(np.sum(np.triu(d, 1) ** 2) * 2.0))
     assert off <= 1e-9  # reconstruction roundoff dominates; diagonalization itself hit 1e-12
+
+
+def test_solve_spectrum_matches_jacobi_oracle():
+    # each parity block whitened with scipy and diagonalized by cyclic Jacobi
+    cases = (
+        (1.0 / 3.0, 0, "laplacian"),
+        (0.5, 1, "laplacian"),  # magic ratio
+        (magic_alpha(2, "hermitian"), 2, "hermitian"),
+        (0.9, 3, "hermitian"),
+        (0.9, 0, "laplacian"),
+    )
+    for alpha, nu, form in cases:
+        problem = TorusProblem(alpha, nu, form)
+        result = solve_spectrum(problem)
+        for parity in ("even", "odd"):
+            h, s = assemble(problem, parity)
+            chol = np.linalg.cholesky(s)
+            half = scipy.linalg.solve_triangular(chol, h, lower=True)
+            white = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
+            vals, vecs = jacobi_eigh(0.5 * (white + white.T))
+            coeffs = scipy.linalg.solve_triangular(chol.T, vecs, lower=False)
+            entries = [e for e in result.entries if e.parity == parity]
+            assert len(entries) == len(vals)
+            for j, entry in enumerate(entries):
+                assert abs(entry.beta - vals[j]) <= 1e-10 * max(1.0, abs(vals[j]))
+                c = coeffs[:, j] / math.sqrt(float(coeffs[:, j] @ s @ coeffs[:, j]))
+                c = c if c[np.argmax(np.abs(c))] > 0.0 else -c
+                assert np.max(np.abs(entry.coeffs - c)) <= 1e-9
 
 
 def test_lowest_state_alpha_one_third_laplacian():
