@@ -8,7 +8,7 @@ and solves the toroidal eigenproblem with a weighted Fourier-Galerkin
 method.
 """
 
-from .jets import Jet2, Jet3
+from .jets import Jet3
 from .shapes import (
     ShapeDomainError,
     ShapeError,
@@ -25,6 +25,7 @@ from .geometry import (
     AxisSingularityError,
     CurvatureSample,
     FocalSurfaceError,
+    Frame,
     MetricPatch,
     curvature_potential,
     curvature_sample,
@@ -65,7 +66,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Jet2",
     "Jet3",
     "ShapeDomainError",
     "ShapeError",
@@ -80,6 +80,7 @@ __all__ = [
     "AxisSingularityError",
     "CurvatureSample",
     "FocalSurfaceError",
+    "Frame",
     "MetricPatch",
     "curvature_potential",
     "curvature_sample",

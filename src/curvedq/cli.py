@@ -76,10 +76,10 @@ def _cell(value, digits):
 def _cmd_curvature(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     fmt = _opt(ns, cfg, "format", "csv")
-    q = _opt(ns, cfg, "q", 0.0)
+    q = _real(ns, cfg, "q", 0.0)
     points = _at_least(ns, cfg, "points", 100, 1)
-    wmin = _opt(ns, cfg, "wmin", None)
-    wmax = _opt(ns, cfg, "wmax", None)
+    wmin = _real(ns, cfg, "wmin", None)
+    wmax = _real(ns, cfg, "wmax", None)
 
     if ns.torus is not None:
         big, small = ns.torus
@@ -129,8 +129,8 @@ def _cmd_spectrum(ns, cfg):
         alpha=ns.alpha,
         nu=_opt(ns, cfg, "nu", 0),
         formulation=_opt(ns, cfg, "formulation", "laplacian"),
-        n_max=_opt(ns, cfg, "nmax", 24),
-        n_quad=_opt(ns, cfg, "nquad", 128),
+        n_max=_at_least(ns, cfg, "nmax", 24, 1),
+        n_quad=_at_least(ns, cfg, "nquad", 128, 1),
     )
     result = torus.solve_spectrum(problem)
     entries = result.entries[:n_states]
@@ -163,8 +163,8 @@ def _cmd_spectrum(ns, cfg):
 def _cmd_compare(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     fmt = _opt(ns, cfg, "format", "table")
-    n_max = _opt(ns, cfg, "nmax", 24)
-    n_quad = _opt(ns, cfg, "nquad", 128)
+    n_max = _at_least(ns, cfg, "nmax", 24, 1)
+    n_quad = _at_least(ns, cfg, "nquad", 128, 1)
     try:
         alpha = float(Fraction(ns.alpha))
     except (ValueError, ZeroDivisionError):
@@ -244,9 +244,11 @@ def selfadjointness_defect(coeffs, grid):
 
 def _cmd_check(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    samples = _opt(ns, cfg, "samples", 100)
-    seed = _opt(ns, cfg, "seed", 7)
-    alpha = _opt(ns, cfg, "alpha", 0.5)
+    samples = _at_least(ns, cfg, "samples", 100, 1)
+    seed = _at_least(ns, cfg, "seed", 7, 0)
+    alpha = _real(ns, cfg, "alpha", 0.5)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1), got {alpha!r}")
 
     worst_limit, worst_full = check_cancellation(samples, seed)
 
@@ -303,6 +305,14 @@ def _at_least(ns, cfg, name, default, low):
     value = _opt(ns, cfg, name, default)
     if not isinstance(value, int) or value < low:
         raise ValueError(f"--{name} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
+def _real(ns, cfg, name, default):
+    """_opt for a real setting, refusing a value that is not a number (exit code 1)."""
+    value = _opt(ns, cfg, name, default)
+    if value is not None and not isinstance(value, (int, float)):
+        raise ValueError(f"--{name} must be a number, got {value!r}")
     return value
 
 

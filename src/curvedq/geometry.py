@@ -29,7 +29,7 @@ overall orientation since only (k1 - k2)^2 enters.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,28 +44,41 @@ class FocalSurfaceError(ValueError):
     """Normal offset q reached a focal point: a shell factor 1 + q*k_i <= 0."""
 
 
+class Frame(NamedTuple):
+    """Metric data of a patch at one coordinate w.
+
+    Shell factors a1, a2 and principal curvatures k1, k2, their first
+    derivatives d_*, and the second derivatives d2_a1, d2_a2 of the shell
+    factors (the Hermitian-momentum operator coefficients need them).  The
+    torus frame also accepts an array of w; fields that do not depend on w
+    are then plain floats, which broadcast.
+    """
+
+    a1: float
+    a2: float
+    k1: float
+    k2: float
+    d_a1: float
+    d_a2: float
+    d_k1: float
+    d_k2: float
+    d2_a1: float
+    d2_a2: float
+
+
 @dataclass(frozen=True)
 class MetricPatch:
     """One-coordinate family of metric data for an axially symmetric surface.
 
-    All fields past `boundary` are pure evaluators of the coordinate w.
-    `d_*` are first derivatives; `d2_a1`, `d2_a2` second derivatives (the
-    Hermitian-momentum operator coefficients need them).
+    `frame(w)` is a pure function of the coordinate w returning the Frame
+    there; a caller that needs several fields at w reads them all from one
+    frame.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
     domain: tuple
     boundary: str                   # "periodic" | "open"
-    a1: Callable
-    a2: Callable
-    k1: Callable
-    k2: Callable
-    d_a1: Callable
-    d_a2: Callable
-    d_k1: Callable
-    d_k2: Callable
-    d2_a1: Callable
-    d2_a2: Callable
+    frame: Callable
 
 
 @dataclass(frozen=True)
@@ -103,7 +116,7 @@ def rescaling_factor(h, k, q):
 
 
 def _graph_frame(shape, rho):
-    """(Z, Z', Z'', k1, k1', k2, k2') for a graph shape at rho, from a third-order jet."""
+    """Frame of the graph z = S(rho) at rho, from one third-order jet of S."""
     jet = eval_jet3(shape, rho)
     s1, s2, s3 = jet.d1, jet.d2, jet.d3
     z = math.sqrt(1.0 + s1 * s1)
@@ -118,7 +131,7 @@ def _graph_frame(shape, rho):
     else:
         k2 = -s1 / (rho * z)
         dk2 = -s2 / (rho * z) + s1 * (z + rho * dz) / (rho * z) ** 2
-    return z, dz, d2z, k1, dk1, k2, dk2
+    return Frame(z, rho, k1, k2, dz, 1.0, dk1, dk2, d2z, 0.0)
 
 
 def graph_metric_patch(shape, domain):
@@ -137,43 +150,7 @@ def graph_metric_patch(shape, domain):
         raise AxisSingularityError(
             "rho = 0 lies in the domain but S_rho(0) != 0; the surface has a conical point"
         )
-
-    def a1(w):
-        return _graph_frame(shape, w)[0]
-
-    def d_a1(w):
-        return _graph_frame(shape, w)[1]
-
-    def d2_a1(w):
-        return _graph_frame(shape, w)[2]
-
-    def k1(w):
-        return _graph_frame(shape, w)[3]
-
-    def d_k1(w):
-        return _graph_frame(shape, w)[4]
-
-    def k2(w):
-        return _graph_frame(shape, w)[5]
-
-    def d_k2(w):
-        return _graph_frame(shape, w)[6]
-
-    return MetricPatch(
-        label="rho",
-        domain=(lo, hi),
-        boundary="open",
-        a1=a1,
-        a2=lambda w: w,
-        k1=k1,
-        k2=k2,
-        d_a1=d_a1,
-        d_a2=lambda w: 1.0,
-        d_k1=d_k1,
-        d_k2=d_k2,
-        d2_a1=d2_a1,
-        d2_a2=lambda w: 0.0,
-    )
+    return MetricPatch("rho", (lo, hi), "open", lambda w: _graph_frame(shape, w))
 
 
 def torus_metric_patch(major_radius, minor_radius):
@@ -185,21 +162,13 @@ def torus_metric_patch(major_radius, minor_radius):
     R, a = float(major_radius), float(minor_radius)
     if not 0.0 < a < R:
         raise ValueError(f"torus radii must satisfy 0 < a < R, got a={a}, R={R}")
-    return MetricPatch(
-        label="theta",
-        domain=(0.0, 2.0 * math.pi),
-        boundary="periodic",
-        a1=lambda w: a + 0.0 * np.asarray(w, dtype=float),
-        a2=lambda w: R + a * np.cos(w),
-        k1=lambda w: 1.0 / a + 0.0 * np.asarray(w, dtype=float),
-        k2=lambda w: np.cos(w) / (R + a * np.cos(w)),
-        d_a1=lambda w: 0.0 * np.asarray(w, dtype=float),
-        d_a2=lambda w: -a * np.sin(w),
-        d_k1=lambda w: 0.0 * np.asarray(w, dtype=float),
-        d_k2=lambda w: -R * np.sin(w) / (R + a * np.cos(w)) ** 2,
-        d2_a1=lambda w: 0.0 * np.asarray(w, dtype=float),
-        d2_a2=lambda w: -a * np.cos(w),
-    )
+
+    def frame(w):
+        c, s = np.cos(w), np.sin(w)
+        a2 = R + a * c
+        return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -R * s / a2**2, 0.0, -a * c)
+
+    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", frame)
 
 
 def curvature_sample(patch, w, q=0.0):
@@ -214,8 +183,9 @@ def curvature_sample(patch, w, q=0.0):
         lo, hi = patch.domain
         if not lo <= w <= hi:
             raise ValueError(f"coordinate {w} outside patch domain [{lo}, {hi}]")
-    k1 = float(patch.k1(w))
-    k2 = float(patch.k2(w))
+    fr = patch.frame(w)
+    k1 = float(fr.k1)
+    k2 = float(fr.k2)
     shell1 = 1.0 + q * k1
     shell2 = 1.0 + q * k2
     if shell1 <= 0.0 or shell2 <= 0.0:
@@ -226,7 +196,7 @@ def curvature_sample(patch, w, q=0.0):
     k = gaussian_curvature(k1, k2)
     return CurvatureSample(
         w=w,
-        z=float(patch.a1(w)),
+        z=float(fr.a1),
         k1=k1,
         k2=k2,
         h=h,

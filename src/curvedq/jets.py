@@ -1,4 +1,9 @@
-"""Forward-mode dual numbers carrying exact derivatives (no finite differencing)."""
+"""Forward-mode dual numbers carrying exact derivatives (no finite differencing).
+
+One jet type, Jet3, serves every caller: shape evaluation reads its first
+two derivatives, and the curvature fields of a graph, which are themselves
+differentiated, read the third.
+"""
 
 import math
 from dataclasses import dataclass
@@ -9,166 +14,13 @@ def _is_number(x):
 
 
 @dataclass(frozen=True, slots=True)
-class Jet2:
-    """Value with exact first and second derivatives along one variable.
+class Jet3:
+    """Value with exact first, second and third derivatives along one variable.
 
     Arithmetic obeys the product, quotient and chain rules exactly, so
-    polynomial expressions propagate with no truncation error.
-    """
-
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
-
-    @staticmethod
-    def variable(x):
-        return Jet2(float(x), 1.0, 0.0)
-
-    @staticmethod
-    def constant(c):
-        return Jet2(float(c), 0.0, 0.0)
-
-    def _lift(self, x):
-        if isinstance(x, Jet2):
-            return x
-        if _is_number(x):
-            return Jet2(float(x), 0.0, 0.0)
-        return NotImplemented
-
-    # -- ring operations ---------------------------------------------------
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(
-            self.value * o.value,
-            self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.value == 0.0:
-            raise ZeroDivisionError("division by zero")
-        q0 = self.value / o.value
-        q1 = (self.d1 - q0 * o.d1) / o.value
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q0 * o.d2) / o.value
-        return Jet2(q0, q1, q2)
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    # -- powers ------------------------------------------------------------
-
-    def _pow_scalar(self, c):
-        f = self.value
-        if c == int(c) and abs(c) < 1e9:
-            n = int(c)
-            if f == 0.0 and n < 0:
-                raise ZeroDivisionError("zero raised to a negative power")
-            u0 = f**n
-            u1 = 0.0 if n == 0 else n * f ** (n - 1)
-            u2 = 0.0 if n in (0, 1) else n * (n - 1) * f ** (n - 2)
-            return self._chain(u0, u1, u2)
-        if f <= 0.0:
-            raise ValueError("fractional power of a non-positive base")
-        u0 = f**c
-        u1 = c * f ** (c - 1.0)
-        u2 = c * (c - 1.0) * f ** (c - 2.0)
-        return self._chain(u0, u1, u2)
-
-    def __pow__(self, other, modulo=None):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.d1 == 0.0 and o.d2 == 0.0:
-            return self._pow_scalar(o.value)
-        # variable exponent: f^g = exp(g ln f), needs f > 0
-        return (o * self.ln()).exp()
-
-    def __rpow__(self, other):
-        return self._lift(other).__pow__(self)
-
-    # -- elementary functions (chain rule through u(f)) ----------------------
-
-    def _chain(self, u0, u1, u2):
-        return Jet2(u0, u1 * self.d1, u2 * self.d1 * self.d1 + u1 * self.d2)
-
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
-
-    def tan(self):
-        t = math.tan(self.value)
-        sec2 = 1.0 + t * t
-        return self._chain(t, sec2, 2.0 * t * sec2)
-
-    def exp(self):
-        e = math.exp(self.value)
-        return self._chain(e, e, e)
-
-    def ln(self):
-        v = self.value
-        if v <= 0.0:
-            raise ValueError("logarithm of a non-positive value")
-        return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-
-    def sqrt(self):
-        r = math.sqrt(self.value)  # raises ValueError for negative input
-        if r == 0.0:
-            raise ZeroDivisionError("derivative of sqrt at zero")
-        return self._chain(r, 0.5 / r, -0.25 / (r * r * r))
-
-    def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._chain(s, c, s)
-
-    def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._chain(c, s, c)
-
-    def tanh(self):
-        t = math.tanh(self.value)
-        sech2 = 1.0 - t * t
-        return self._chain(t, sech2, -2.0 * t * sech2)
-
-
-@dataclass(frozen=True, slots=True)
-class Jet3:
-    """Like Jet2 but carries the third derivative as well.
-
-    Needed wherever curvature fields are themselves differentiated (the
-    principal curvatures of a graph already consume two derivatives of the
-    shape, so their slopes consume a third).
+    polynomial expressions propagate with no truncation error.  The third
+    derivative is there because the principal curvatures of a graph already
+    consume two derivatives of the shape, so their slopes consume a third.
     """
 
     value: float

@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import curvature_potential, rescaling_factor
 from .shapes import ShapeExpr, eval_jet2
-from .jets import Jet2
+from .jets import Jet3
 
 FORMULATIONS = ("laplacian", "hermitian")
 ORDERINGS = ("left", "sandwich")
@@ -77,10 +77,11 @@ def hermitian_momenta(patch):
     """
 
     def drift_w(w):
-        return 0.5 * (patch.d_a1(w) / patch.a1(w) + patch.d_a2(w) / patch.a2(w))
+        return _gamma(patch.frame(w))
 
     def drift_q(w):
-        return 0.5 * (patch.k1(w) + patch.k2(w))
+        fr = patch.frame(w)
+        return 0.5 * (fr.k1 + fr.k2)
 
     return (
         MomentumOp(patch.label, drift_w),
@@ -141,85 +142,85 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     nu = abs(int(nu))
 
-    def centrifugal(w):
-        a2 = patch.a2(w)
-        return nu * nu / (2.0 * a2 * a2)
+    def centrifugal(fr):
+        return nu * nu / (2.0 * fr.a2 * fr.a2)
+
+    def c2(w):
+        a1 = patch.frame(w).a1
+        return -0.5 / (a1 * a1)
+
+    def weight(w):
+        fr = patch.frame(w)
+        return fr.a1 * fr.a2
 
     if formulation == "laplacian":
 
-        def c2(w):
-            a1 = patch.a1(w)
-            return -0.5 / (a1 * a1)
-
         def c1(w):
-            a1, a2 = patch.a1(w), patch.a2(w)
-            return -0.5 * (patch.d_a2(w) / (a1 * a1 * a2) - patch.d_a1(w) / a1**3)
+            fr = patch.frame(w)
+            a1 = fr.a1
+            return -0.5 * (fr.d_a2 / (a1 * a1 * fr.a2) - fr.d_a1 / a1**3)
 
         def c0(w):
-            return centrifugal(w) + curvature_potential(patch.k1(w), patch.k2(w))
+            fr = patch.frame(w)
+            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2)
 
-        return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=lambda w: patch.a1(w) * patch.a2(w))
-
-    def gamma(w):
-        return 0.5 * (patch.d_a1(w) / patch.a1(w) + patch.d_a2(w) / patch.a2(w))
-
-    def dgamma(w):
-        a1, a2 = patch.a1(w), patch.a2(w)
-        r1, r2 = patch.d_a1(w) / a1, patch.d_a2(w) / a2
-        return 0.5 * (patch.d2_a1(w) / a1 - r1 * r1 + patch.d2_a2(w) / a2 - r2 * r2)
-
-    if ordering == "left":
-
-        def c2(w):
-            a1 = patch.a1(w)
-            return -0.5 / (a1 * a1)
+    elif ordering == "left":
 
         def c1(w):
-            a1 = patch.a1(w)
-            return -gamma(w) / (a1 * a1)
+            fr = patch.frame(w)
+            return -_gamma(fr) / (fr.a1 * fr.a1)
 
         def c0(w):
-            a1 = patch.a1(w)
-            g = gamma(w)
-            return -(dgamma(w) + g * g) / (2.0 * a1 * a1) + centrifugal(w)
+            fr = patch.frame(w)
+            g = _gamma(fr)
+            return -(_dgamma(fr) + g * g) / (2.0 * fr.a1 * fr.a1) + centrifugal(fr)
 
     else:  # sandwich: (1/2) P b P with b = 1/a1^2
 
-        def c2(w):
-            a1 = patch.a1(w)
-            return -0.5 / (a1 * a1)
-
         def c1(w):
-            a1 = patch.a1(w)
+            fr = patch.frame(w)
+            a1 = fr.a1
             b = 1.0 / (a1 * a1)
-            db = -2.0 * patch.d_a1(w) / a1**3
-            return -0.5 * (db + 2.0 * b * gamma(w))
+            db = -2.0 * fr.d_a1 / a1**3
+            return -0.5 * (db + 2.0 * b * _gamma(fr))
 
         def c0(w):
-            a1 = patch.a1(w)
+            fr = patch.frame(w)
+            a1 = fr.a1
             b = 1.0 / (a1 * a1)
-            db = -2.0 * patch.d_a1(w) / a1**3
-            g = gamma(w)
-            return -0.5 * (db * g + b * dgamma(w) + b * g * g) + centrifugal(w)
+            db = -2.0 * fr.d_a1 / a1**3
+            g = _gamma(fr)
+            return -0.5 * (db * g + b * _dgamma(fr) + b * g * g) + centrifugal(fr)
 
-    return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=lambda w: patch.a1(w) * patch.a2(w))
+    return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=weight)
+
+
+def _gamma(fr):
+    """Drift (1/2)(a1'/a1 + a2'/a2) of the surface momentum along w."""
+    return 0.5 * (fr.d_a1 / fr.a1 + fr.d_a2 / fr.a2)
+
+
+def _dgamma(fr):
+    """w-derivative of _gamma."""
+    r1, r2 = fr.d_a1 / fr.a1, fr.d_a2 / fr.a2
+    return 0.5 * (fr.d2_a1 / fr.a1 - r1 * r1 + fr.d2_a2 / fr.a2 - r2 * r2)
 
 
 def _value_and_slope(fn, w):
     if isinstance(fn, ShapeExpr):
         jet = eval_jet2(fn, w)
         return jet.value, jet.d1
-    jet = fn(Jet2.variable(w))
-    if isinstance(jet, Jet2):
+    jet = fn(Jet3.variable(w))
+    if isinstance(jet, Jet3):
         return jet.value, jet.d1
-    raise TypeError("test function must be a ShapeExpr or accept a Jet2 argument")
+    raise TypeError("test function must be a ShapeExpr or accept a Jet3 argument")
 
 
 def hermiticity_residual(op, patch, f, g, n_points=512):
     """|<f, Pg> - <Pf, g>| under the surface measure a1 a2 dw at q = 0.
 
     f and g are real test functions given either as ShapeExpr (the grammar
-    variable plays the role of w) or as callables that accept a Jet2 (so
+    variable plays the role of w) or as callables that accept a Jet3 (so
     their derivative comes out exactly).  On periodic patches the inner
     product uses the periodic trapezoid rule; on open patches,
     Gauss-Legendre nodes, and f, g must vanish at both endpoints.
@@ -247,7 +248,7 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
             nodes, gw = np.polynomial.legendre.leggauss(n_points)
             theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             wq = 0.5 * (hi - lo) * gw
-        measure = np.array([patch.a1(t) * patch.a2(t) for t in theta])
+        measure = np.array([fr.a1 * fr.a2 for fr in map(patch.frame, theta)])
     else:
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
 

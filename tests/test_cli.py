@@ -104,6 +104,43 @@ def test_curvature_rejects_points_below_one(capsys):
     assert len(out.strip().splitlines()) == 2
 
 
+def test_check_refuses_vacuous_samples_bad_seed_and_alpha(capsys):
+    for argv, flag in (
+        (["check", "--samples", "0"], "--samples"),
+        (["check", "--samples", "-5"], "--samples"),
+        (["check", "--seed", "-1"], "--seed"),
+        (["check", "--alpha", "0"], "--alpha"),
+        (["check", "--alpha", "1"], "--alpha"),
+        (["check", "--alpha", "2"], "--alpha"),
+        (["check", "--alpha=-1/2"], "--alpha"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and flag in err and err.count("\n") == 1, argv
+
+
+def test_config_values_of_the_wrong_type_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for settings, argv, flag in (
+        ({"samples": "x"}, ["check"], "--samples"),
+        ({"seed": 1.5}, ["check"], "--seed"),
+        ({"alpha": "1/2"}, ["check"], "--alpha"),
+        ({"nmax": "30"}, ["spectrum", "--alpha", "0.5"], "--nmax"),
+        ({"nquad": 128.0}, ["spectrum", "--alpha", "0.5"], "--nquad"),
+        ({"nmax": "30"}, ["compare", "--alpha", "1/2"], "--nmax"),
+        ({"q": "0.1"}, ["curvature", "--torus", "3", "1"], "--q"),
+        ({"wmin": "0.1", "wmax": 1.0}, ["curvature", "--torus", "3", "1"], "--wmin"),
+        ({"wmin": 0.1, "wmax": [1.0]}, ["curvature", "--torus", "3", "1"], "--wmax"),
+    ):
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out) == (1, ""), settings
+        assert err.startswith("error:") and flag in err and err.count("\n") == 1, settings
+    cfg.write_text(json.dumps({"q": 0, "wmin": 0, "wmax": 1}), encoding="utf-8")
+    code, out, _ = _run(capsys, ["curvature", "--torus", "3", "1", "--points", "2", "--config", str(cfg)])
+    assert code == 0 and len(out.strip().splitlines()) == 3
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

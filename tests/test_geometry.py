@@ -61,10 +61,10 @@ def test_axis_singularity_rejected():
 def test_torus_patch_values():
     patch = torus_metric_patch(3.0, 1.0)
     assert patch.boundary == "periodic"
-    assert patch.k1(0.3) == 1.0
-    assert patch.k2(0.0) == pytest.approx(0.25, rel=1e-15)
-    assert patch.k2(math.pi / 2) == pytest.approx(0.0, abs=1e-16)
-    assert patch.k2(math.pi) == pytest.approx(-0.5, rel=1e-15)
+    assert patch.frame(0.3).k1 == 1.0
+    assert patch.frame(0.0).k2 == pytest.approx(0.25, rel=1e-15)
+    assert patch.frame(math.pi / 2).k2 == pytest.approx(0.0, abs=1e-16)
+    assert patch.frame(math.pi).k2 == pytest.approx(-0.5, rel=1e-15)
     s = curvature_sample(patch, math.pi / 2)
     assert s.k == pytest.approx(0.0, abs=1e-16)
 
@@ -100,8 +100,8 @@ def test_outer_torus_half_matches_graph_route():
     graph = graph_metric_patch(parse_shape(f"sqrt({a * a} - (rho-{R})^2)"), (R + 0.05, R + a - 0.05))
     for theta in np.linspace(0.08, math.pi / 2 - 0.08, 25):
         rho = R + a * math.cos(theta)
-        got = sorted([graph.k1(rho), graph.k2(rho)])
-        ref = sorted([float(torus.k1(theta)), float(torus.k2(theta))])
+        got = sorted([graph.frame(rho).k1, graph.frame(rho).k2])
+        ref = sorted([float(torus.frame(theta).k1), float(torus.frame(theta).k2)])
         assert got[0] == pytest.approx(ref[0], abs=1e-10)
         assert got[1] == pytest.approx(ref[1], abs=1e-10)
 
@@ -123,7 +123,7 @@ def test_rescaling_factor_identity():
     patch = torus_metric_patch(2.5, 1.0)
     for _ in range(100):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        k1v, k2v = float(patch.k1(theta)), float(patch.k2(theta))
+        k1v, k2v = float(patch.frame(theta).k1), float(patch.frame(theta).k2)
         qmax = 0.9 / max(abs(k1v), abs(k2v), 1e-9)
         q = float(rng.uniform(-0.5, 0.5)) * min(qmax, 2.0)
         f_hk = rescaling_factor(mean_curvature(k1v, k2v), gaussian_curvature(k1v, k2v), q)
@@ -146,33 +146,33 @@ def test_graph_derivative_fields_against_closed_forms():
     # sphere: k1, k2 constant; cone: k2' = c/(rho^2 sqrt(1+c^2))
     sphere = graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.1, 1.9))
     for rho in (0.5, 1.0, 1.5):
-        assert sphere.d_k1(rho) == pytest.approx(0.0, abs=1e-12)
-        assert sphere.d_k2(rho) == pytest.approx(0.0, abs=1e-12)
+        assert sphere.frame(rho).d_k1 == pytest.approx(0.0, abs=1e-12)
+        assert sphere.frame(rho).d_k2 == pytest.approx(0.0, abs=1e-12)
     c = 0.75
     cone = graph_metric_patch(parse_shape(f"{c}*rho"), (0.1, 3.0))
     for rho in (0.4, 1.1):
-        assert cone.d_k1(rho) == pytest.approx(0.0, abs=1e-15)
-        assert cone.d_k2(rho) == pytest.approx(c / (rho * rho * math.sqrt(1 + c * c)), rel=1e-12)
+        assert cone.frame(rho).d_k1 == pytest.approx(0.0, abs=1e-15)
+        assert cone.frame(rho).d_k2 == pytest.approx(c / (rho * rho * math.sqrt(1 + c * c)), rel=1e-12)
 
 
 def test_graph_a1_derivatives_match_finite_differences():
     patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
     h = 1e-5
     for rho in (0.5, 1.0, 1.5):
-        fd1 = (patch.a1(rho + h) - patch.a1(rho - h)) / (2 * h)
-        fd2 = (patch.d_a1(rho + h) - patch.d_a1(rho - h)) / (2 * h)
-        assert patch.d_a1(rho) == pytest.approx(fd1, rel=1e-8)
-        assert patch.d2_a1(rho) == pytest.approx(fd2, rel=1e-8)
+        fd1 = (patch.frame(rho + h).a1 - patch.frame(rho - h).a1) / (2 * h)
+        fd2 = (patch.frame(rho + h).d_a1 - patch.frame(rho - h).d_a1) / (2 * h)
+        assert patch.frame(rho).d_a1 == pytest.approx(fd1, rel=1e-8)
+        assert patch.frame(rho).d2_a1 == pytest.approx(fd2, rel=1e-8)
 
 
 def test_torus_derivative_fields():
     patch = torus_metric_patch(3.0, 1.0)
     h = 1e-6
     for theta in (0.4, 2.0, 4.4):
-        fd = (patch.k2(theta + h) - patch.k2(theta - h)) / (2 * h)
-        assert patch.d_k2(theta) == pytest.approx(fd, rel=1e-8)
-        fd = (patch.a2(theta + h) - patch.a2(theta - h)) / (2 * h)
-        assert patch.d_a2(theta) == pytest.approx(fd, rel=1e-8)
+        fd = (patch.frame(theta + h).k2 - patch.frame(theta - h).k2) / (2 * h)
+        assert patch.frame(theta).d_k2 == pytest.approx(fd, rel=1e-8)
+        fd = (patch.frame(theta + h).a2 - patch.frame(theta - h).a2) / (2 * h)
+        assert patch.frame(theta).d_a2 == pytest.approx(fd, rel=1e-8)
 
 
 def test_open_domain_bounds_checked():

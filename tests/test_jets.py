@@ -3,28 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from curvedq.jets import Jet2, Jet3
+from curvedq.jets import Jet3
 
 from _helpers import poly_derivative, poly_eval, random_poly
 
 
-def jet2_of_poly(coeffs, x):
-    acc = Jet2.constant(0.0)
-    var = Jet2.variable(x)
+def jet_of_poly(coeffs, x):
+    acc = Jet3.constant(0.0)
+    var = Jet3.variable(x)
     for k, c in enumerate(coeffs):
         acc = acc + c * var**k
     return acc
 
 
 def test_variable_and_constant():
-    x = Jet2.variable(2.0)
+    x = Jet3.variable(2.0)
     assert (x.value, x.d1, x.d2) == (2.0, 1.0, 0.0)
-    c = Jet2.constant(3.0)
+    c = Jet3.constant(3.0)
     assert (c.value, c.d1, c.d2) == (3.0, 0.0, 0.0)
 
 
 def test_product_rule_exact_on_monomials():
-    x = Jet2.variable(1.7)
+    x = Jet3.variable(1.7)
     left = (x**3) * (x**4)
     right = x**7
     assert left.value == pytest.approx(right.value, rel=1e-15)
@@ -33,7 +33,7 @@ def test_product_rule_exact_on_monomials():
 
 
 def test_quotient_rule():
-    x = Jet2.variable(2.0)
+    x = Jet3.variable(2.0)
     q = (x * x + 1.0) / (x - 3.0)
     # f/g with f = x^2+1, g = x-3 at x=2: value -5, d1 = -9, d2 = -20
     assert q.value == pytest.approx(-5.0, abs=1e-14)
@@ -42,7 +42,7 @@ def test_quotient_rule():
 
 
 def test_chain_rule_through_sin():
-    x = Jet2.variable(0.7)
+    x = Jet3.variable(0.7)
     y = (x * x).sin()
     v = 0.7 * 0.7
     assert y.value == pytest.approx(math.sin(v))
@@ -55,7 +55,7 @@ def test_random_polynomials_match_symbolic_differentiation():
     for _ in range(200):
         coeffs = random_poly(rng)
         x = float(rng.uniform(-2.0, 2.0))
-        jet = jet2_of_poly(coeffs, x)
+        jet = jet_of_poly(coeffs, x)
         d1c = poly_derivative(coeffs)
         d2c = poly_derivative(d1c)
         for got, ref in (
@@ -67,24 +67,24 @@ def test_random_polynomials_match_symbolic_differentiation():
 
 
 def test_integer_power_edge_cases():
-    zero = Jet2.variable(0.0)
+    zero = Jet3.variable(0.0)
     sq = zero**2
     assert (sq.value, sq.d1, sq.d2) == (0.0, 0.0, 2.0)
     assert (zero**0).value == 1.0
     with pytest.raises(ZeroDivisionError):
         zero**-1
-    neg = Jet2.variable(-2.0)
+    neg = Jet3.variable(-2.0)
     cube = neg**3
     assert cube.value == -8.0 and cube.d1 == 12.0 and cube.d2 == -12.0
 
 
 def test_fractional_power_of_negative_base_raises():
     with pytest.raises(ValueError):
-        Jet2.variable(-2.0) ** 0.5
+        Jet3.variable(-2.0) ** 0.5
 
 
 def test_variable_exponent():
-    x = Jet2.variable(1.5)
+    x = Jet3.variable(1.5)
     y = x**x  # = exp(x ln x)
     v = 1.5**1.5
     assert y.value == pytest.approx(v)
@@ -93,7 +93,7 @@ def test_variable_exponent():
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        Jet2.variable(1.0) / Jet2.constant(0.0)
+        Jet3.variable(1.0) / Jet3.constant(0.0)
 
 
 def test_jet3_third_derivatives():

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import curvedq.geometry
 from curvedq.geometry import curvature_sample, graph_metric_patch, torus_metric_patch
 from curvedq.operators import (
+    FORMULATIONS,
+    ORDERINGS,
     BoundaryCompatibilityError,
     MomentumOp,
     cancellation_residual,
@@ -22,6 +25,31 @@ from _helpers import random_shape_source
 
 def _fd(fn, w, h=1e-5):
     return (fn(w - 2 * h) - 8 * fn(w - h) + 8 * fn(w + h) - fn(w + 2 * h)) / (12 * h)
+
+
+def test_one_jet_walk_per_graph_frame(monkeypatch):
+    calls = []
+    walk = curvedq.geometry.eval_jet3
+
+    def counted(expr, rho):
+        calls.append(rho)
+        return walk(expr, rho)
+
+    monkeypatch.setattr(curvedq.geometry, "eval_jet3", counted)
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+
+    def walks(fn, w):
+        calls.clear()
+        fn(w)
+        return len(calls)
+
+    assert walks(lambda w: curvature_sample(patch, w), 0.7) == 1
+    assert walks(hermitian_momenta(patch)[0].drift, 0.7) == 1
+    for formulation in FORMULATIONS:
+        for ordering in ORDERINGS:
+            coeffs = surface_operator(patch, formulation, 1, ordering)
+            for name in ("c2", "c1", "c0", "weight"):
+                assert walks(getattr(coeffs, name), 0.7) == 1, (formulation, ordering, name)
 
 
 def test_torus_poloidal_drift():
@@ -90,8 +118,8 @@ def test_laplacian_coefficients_match_graph_closed_form():
     patch = graph_metric_patch(parse_shape("0.4*rho^2+0.1*sin(rho)"), (0.3, 1.8))
     coeffs = surface_operator(patch, "laplacian", nu=0)
     for rho in (0.5, 1.0, 1.6):
-        z = patch.a1(rho)
-        dz = patch.d_a1(rho)
+        z = patch.frame(rho).a1
+        dz = patch.frame(rho).d_a1
         assert coeffs.c2(rho) == pytest.approx(-0.5 / z**2, rel=1e-14)
         assert coeffs.c1(rho) == pytest.approx(-0.5 * (1.0 / (z * z * rho) - dz / z**3), rel=1e-13)
         s = curvature_sample(patch, rho)
