@@ -11,14 +11,20 @@ import numpy as np
 
 from curvedq import TorusProblem, solve_spectrum, table_states
 
+
+def fixed4(x):
+    """x to 4 decimals, printing a rounding-level negative as +0.0000."""
+    return f"{round(float(x), 4) + 0.0:+.4f}"
+
+
 for alpha_text, alpha in (("1/3", 1.0 / 3.0), ("1/2", 0.5), ("2/3", 2.0 / 3.0)):
     print(f"alpha = {alpha_text}")
     for formulation in ("laplacian", "hermitian"):
         print(f"  {formulation}:")
         for st in table_states(alpha, formulation):
-            lead = "  ".join(f"{c:+.4f}" for c in st.coeffs[:3])
+            lead = "  ".join(fixed4(c) for c in st.coeffs[:3])
             print(
-                f"    beta={st.beta:+.4f}  nu={st.nu}  {st.parity:4s}  "
+                f"    beta={fixed4(st.beta)}  nu={st.nu}  {st.parity:4s}  "
                 f"{st.basis} coefficients: {lead}"
             )
     print()

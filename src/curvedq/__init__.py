@@ -59,8 +59,6 @@ from .torus import (
     overlap_analytic,
     solve_spectrum,
     table_states,
-    torus_operator,
-    weak_form_matrices,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +108,5 @@ __all__ = [
     "overlap_analytic",
     "solve_spectrum",
     "table_states",
-    "torus_operator",
-    "weak_form_matrices",
     "__version__",
 ]

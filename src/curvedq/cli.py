@@ -75,7 +75,7 @@ def _cell(value, digits):
 
 def _cmd_curvature(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _opt(ns, cfg, "format", "csv")
+    fmt = _format(ns, cfg)
     q = _real(ns, cfg, "q", 0.0)
     points = _at_least(ns, cfg, "points", 100, 1)
     wmin = _real(ns, cfg, "wmin", None)
@@ -123,7 +123,7 @@ def _cmd_curvature(ns, cfg):
 
 def _cmd_spectrum(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _opt(ns, cfg, "format", "json")
+    fmt = _format(ns, cfg)
     n_states = _at_least(ns, cfg, "states", 8, 1)
     problem = torus.TorusProblem(
         alpha=ns.alpha,
@@ -162,7 +162,7 @@ def _cmd_spectrum(ns, cfg):
 
 def _cmd_compare(ns, cfg):
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _opt(ns, cfg, "format", "table")
+    fmt = _format(ns, cfg)
     n_max = _at_least(ns, cfg, "nmax", 24, 1)
     n_quad = _at_least(ns, cfg, "nquad", 128, 1)
     try:
@@ -190,13 +190,14 @@ def _cmd_compare(ns, cfg):
 
 
 def _cmd_magic(ns, cfg):
+    fmt = _format(ns, cfg)
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     payload = {
         "nu": ns.nu,
         "laplacian": _round(torus.magic_alpha(ns.nu, "laplacian"), digits),
         "hermitian": _round(torus.magic_alpha(ns.nu, "hermitian"), digits),
     }
-    return emit(payload, "json", digits)
+    return emit(payload, fmt, digits)
 
 
 def _polynomial_source(rng):
@@ -230,19 +231,22 @@ def check_cancellation(samples, seed):
     return worst_limit, worst_full
 
 
-def _fd_derivative(fn, w, step=1e-5):
-    return (fn(w - 2 * step) - 8 * fn(w - step) + 8 * fn(w + step) - fn(w + 2 * step)) / (12 * step)
+def selfadjointness_defect(patch, coeffs, grid):
+    """max |(c2 weight)' - c1 weight| over a grid for an operator on `patch`.
 
-
-def selfadjointness_defect(coeffs, grid):
-    """max |(c2 w)' - c1 w| over a grid, derivative by high-order differences."""
-    def c2w(w):
-        return coeffs.c2(w) * coeffs.weight(w)
-
-    return max(abs(_fd_derivative(c2w, w) - coeffs.c1(w) * coeffs.weight(w)) for w in grid)
+    c2 weight = -a2/(2 a1) for every surface operator, so its derivative
+    is read exactly off the patch frame.
+    """
+    worst = 0.0
+    for w in grid:
+        fr = patch.frame(w)
+        slope = -0.5 * (fr.d_a2 / fr.a1 - fr.a2 * fr.d_a1 / (fr.a1 * fr.a1))
+        worst = max(worst, abs(slope - coeffs.c1(w) * coeffs.weight(w)))
+    return worst
 
 
 def _cmd_check(ns, cfg):
+    fmt = _format(ns, cfg)
     digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
     samples = _at_least(ns, cfg, "samples", 100, 1)
     seed = _at_least(ns, cfg, "seed", 7, 0)
@@ -266,7 +270,7 @@ def _cmd_check(ns, cfg):
     grid = np.linspace(0.3, 1.7, 29)
     defects = {
         ordering: _sig(
-            selfadjointness_defect(operators.surface_operator(graph, "hermitian", 0, ordering), grid)
+            selfadjointness_defect(graph, operators.surface_operator(graph, "hermitian", 0, ordering), grid)
         )
         for ordering in operators.ORDERINGS
     }
@@ -286,7 +290,7 @@ def _cmd_check(ns, cfg):
             "ordering_selfadjointness_defect": defects,
         },
     }
-    return emit(payload, "json", digits)
+    return emit(payload, fmt, digits)
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -301,23 +305,42 @@ def _opt(ns, cfg, name, default):
 
 
 def _at_least(ns, cfg, name, default, low):
-    """_opt for an integer setting, refusing a non-integer or a value below `low` (exit code 1)."""
+    """_opt for an integer setting, refusing a bool, a non-integer or a value below `low` (exit code 1)."""
     value = _opt(ns, cfg, name, default)
-    if not isinstance(value, int) or value < low:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"--{name} must be an integer of at least {low}, got {value!r}")
     return value
 
 
 def _real(ns, cfg, name, default):
-    """_opt for a real setting, refusing a value that is not a number (exit code 1)."""
+    """_opt for a real setting, refusing a bool or a value that is not a number (exit code 1)."""
     value = _opt(ns, cfg, name, default)
-    if value is not None and not isinstance(value, (int, float)):
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"--{name} must be a number, got {value!r}")
     return value
 
 
-def _add_common(sub, formats):
-    sub.add_argument("--format", choices=formats, default=None)
+def _format(ns, cfg):
+    """_opt for --format, refusing a value outside the subcommand's choices (exit code 1)."""
+    choices = _FORMATS[ns.command]
+    value = _opt(ns, cfg, "format", choices[0])
+    if value not in choices:
+        raise ValueError(f"--format must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+# --format choices of each subcommand; the first is the default
+_FORMATS = {
+    "curvature": ("csv", "json", "table"),
+    "spectrum": ("json", "csv"),
+    "compare": ("table", "csv"),
+    "magic": ("json",),
+    "check": ("json",),
+}
+
+
+def _add_common(sub, command):
+    sub.add_argument("--format", choices=_FORMATS[command], default=None)
     sub.add_argument("--digits", type=int, default=None)
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--config", default=None)
@@ -340,7 +363,7 @@ def build_parser():
     cur.add_argument("--wmax", type=_fraction, default=None)
     cur.add_argument("--points", type=int, default=None)
     cur.add_argument("--q", type=_fraction, default=None, help="normal offset (default 0)")
-    _add_common(cur, ("csv", "json", "table"))
+    _add_common(cur, "curvature")
 
     spec = subs.add_parser("spectrum", help="torus eigenvalues and wave functions")
     spec.add_argument("--alpha", type=_fraction, required=True)
@@ -349,23 +372,23 @@ def build_parser():
     spec.add_argument("--nmax", type=int, default=None)
     spec.add_argument("--nquad", type=int, default=None)
     spec.add_argument("--states", type=int, default=None)
-    _add_common(spec, ("json", "csv"))
+    _add_common(spec, "spectrum")
 
     cmp_ = subs.add_parser("compare", help="three lowest states per formulation")
     cmp_.add_argument("--alpha", required=True, help="aspect ratio a/R, fraction or decimal")
     cmp_.add_argument("--nmax", type=int, default=None)
     cmp_.add_argument("--nquad", type=int, default=None)
-    _add_common(cmp_, ("table", "csv"))
+    _add_common(cmp_, "compare")
 
     mag = subs.add_parser("magic", help="aspect ratios cancelling the azimuthal term")
     mag.add_argument("--nu", type=int, required=True)
-    _add_common(mag, ("json",))
+    _add_common(mag, "magic")
 
     chk = subs.add_parser("check", help="cancellation and Hermiticity residuals")
     chk.add_argument("--alpha", type=_fraction, default=None)
     chk.add_argument("--samples", type=int, default=None)
     chk.add_argument("--seed", type=int, default=None)
-    _add_common(chk, ("json",))
+    _add_common(chk, "check")
 
     return parser
 

@@ -1,37 +1,32 @@
 """Weighted Fourier-Galerkin eigensolver for a particle on a torus.
 
-With aspect ratio alpha = a/R, poloidal angle theta (theta = 0 at the
-outer equator), azimuthal wave number nu and the dimensionless eigenvalue
-beta = 2 E a^2, both formulations reduce to the weighted Sturm-Liouville
-problem
+The Hamiltonian is `operators.surface_operator` on the torus patch of unit
+minor radius and major radius 1/alpha (alpha = a/R, theta = 0 at the outer
+equator), so both formulations come from the metric patch as on every
+other surface.  With azimuthal wave number nu and the dimensionless
+eigenvalue beta = 2 E a^2 = 2 E, the coefficients c2, c0 and the measure
+density a1 a2 are even in theta, so the problem decouples into an even
+(cosine) and an odd (sine) parity block.  Matrices are assembled in the
+weak form
 
-    -(1/u) d/dtheta ( u dpsi/dtheta ) + W(theta) psi = beta psi,
-    u(theta) = 1 + alpha cos(theta),
+    H_mn = int (-2 c2 phi_m' phi_n' + 2 c0 phi_m phi_n) u dtheta,
+    S_mn = int  phi_m phi_n u dtheta,        u = alpha a1 a2 = 1 + alpha cos(theta),
 
-where the effective potential is
-
-    laplacian:  W = (nu^2 alpha^2 - 1/4) / u^2
-    hermitian:  W = (nu^2 alpha^2 + (alpha^2 - 1)/4) / u^2 + 1/4.
-
-Since u and W are even, the problem decouples into an even (cosine) and an
-odd (sine) parity block.  Matrices are assembled in the weak form
-
-    H_mn = int (phi_m' phi_n' + W phi_m phi_n) u dtheta,
-    S_mn = int  phi_m phi_n u dtheta,
-
-with the periodic trapezoid rule (spectrally accurate here), the
-generalized problem is whitened by the Cholesky factor of S, and the dense
-symmetric result is diagonalized by LAPACK through numpy's `eigh` (the
-symmetric-definite reduction of LAPACK dsygv; Golub & Van Loan, Matrix
-Computations, sec. 8.7).  numpy is the only runtime dependency: the
+which needs no c1 because (c2 a1 a2)' = c1 a1 a2 for the laplacian and the
+sandwich-ordered hermitian operator (the default ordering, equal to `left`
+on the torus).  The periodic trapezoid rule is spectrally accurate here,
+the generalized problem is whitened by the Cholesky factor of S, and the
+dense symmetric result is diagonalized by LAPACK through numpy's `eigh`
+(the symmetric-definite reduction of LAPACK dsygv; Golub & Van Loan,
+Matrix Computations, sec. 8.7).  numpy is the only runtime dependency: the
 triangular solves are a short substitution here.  `jacobi_eigh`, a pure
 Python cyclic Jacobi solver, is kept as the reference solver for
 cross-checks and is not on the solve path.  Eigenvectors are reported in
 the raw {1, cos n theta} / {sin n theta} basis, normalized so that
 int |psi|^2 u dtheta = 1, with the largest-magnitude coefficient positive.
 
-Special values of alpha kill the azimuthal part of W ("magic" aspect
-ratios): alpha = 1/(2 nu) for the laplacian form and
+Special values of alpha kill the azimuthal part of the potential
+("magic" aspect ratios): alpha = 1/(2 nu) for the laplacian form and
 alpha = 1/sqrt(1 + 4 nu^2) for the hermitian one.
 """
 
@@ -40,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FORMULATIONS = ("laplacian", "hermitian")
+from .geometry import torus_metric_patch
+from .operators import FORMULATIONS, surface_operator
+
 PARITIES = ("even", "odd")
 
 
@@ -52,7 +49,7 @@ class JacobiConvergenceError(RuntimeError):
 class TorusProblem:
     """One eigenproblem configuration.
 
-    nu must be integral (2.0 is accepted, 1.7 refused) and is reduced to
+    nu must be integral (2.0 is accepted, 1.7 and True refused) and is reduced to
     |nu| (the spectrum depends on nu only through nu^2; states carry
     e^(+-i nu phi)).  n_quad must stay comfortably above the basis
     bandwidth so the trapezoid rule is spectrally converged.
@@ -73,7 +70,7 @@ class TorusProblem:
             nu = int(self.nu)
         except (TypeError, ValueError, OverflowError):
             nu = None
-        if nu is None or nu != self.nu:
+        if nu is None or nu != self.nu or isinstance(self.nu, bool):
             raise ValueError(f"nu must be an integer, got {self.nu!r}")
         object.__setattr__(self, "nu", abs(nu))
         if self.n_max < 2:
@@ -95,32 +92,6 @@ class SpectrumResult:
     entries: tuple
 
 
-def torus_operator(alpha, nu, formulation):
-    """Potential W(theta) and weight u(theta) of the reduced problem (vectorized)."""
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-    nu = abs(int(nu))
-
-    def u(theta):
-        return 1.0 + alpha * np.cos(theta)
-
-    if formulation == "laplacian":
-        num = nu * nu * alpha * alpha - 0.25
-
-        def w(theta):
-            uu = u(theta)
-            return num / (uu * uu)
-
-    else:
-        num = nu * nu * alpha * alpha + 0.25 * (alpha * alpha - 1.0)
-
-        def w(theta):
-            uu = u(theta)
-            return num / (uu * uu) + 0.25
-
-    return w, u
-
-
 def fourier_block(parity, n_max, theta):
     """Basis values and derivatives on a grid: rows are basis functions."""
     if parity == "even":
@@ -136,22 +107,16 @@ def fourier_block(parity, n_max, theta):
     return phi, dphi
 
 
-def weak_form_matrices(potential, weight, parity, n_max, n_quad):
-    """Galerkin matrices H, S by the periodic trapezoid rule."""
-    theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
-    wq = 2.0 * math.pi / n_quad
-    uu = np.asarray(weight(theta), dtype=float)
-    ww = np.asarray(potential(theta), dtype=float)
-    phi, dphi = fourier_block(parity, n_max, theta)
-    h = (dphi * (uu * wq)) @ dphi.T + (phi * (ww * uu * wq)) @ phi.T
-    s = (phi * (uu * wq)) @ phi.T
-    return 0.5 * (h + h.T), 0.5 * (s + s.T)
-
-
 def assemble(problem, parity):
-    """(H, S) for one parity block of the problem."""
-    w, u = torus_operator(problem.alpha, problem.nu, problem.formulation)
-    return weak_form_matrices(w, u, parity, problem.n_max, problem.n_quad)
+    """(H, S) for one parity block: the weak form of the module docstring,
+    c1-free because (c2 weight)' = c1 weight, by the periodic trapezoid rule."""
+    op = surface_operator(torus_metric_patch(1.0 / problem.alpha, 1.0), problem.formulation, problem.nu)
+    theta = np.arange(problem.n_quad) * (2.0 * math.pi / problem.n_quad)
+    measure = (problem.alpha * 2.0 * math.pi / problem.n_quad) * op.weight(theta)
+    phi, dphi = fourier_block(parity, problem.n_max, theta)
+    h = (dphi * (-2.0 * op.c2(theta) * measure)) @ dphi.T + (phi * (2.0 * op.c0(theta) * measure)) @ phi.T
+    s = (phi * measure) @ phi.T
+    return 0.5 * (h + h.T), 0.5 * (s + s.T)
 
 
 def overlap_analytic(alpha, parity, n_max):

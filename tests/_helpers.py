@@ -1,6 +1,10 @@
 """Shared oracles and generators for the test suite."""
 
+import math
+
 import numpy as np
+
+from curvedq.torus import fourier_block
 
 
 def poly_source(coeffs):
@@ -71,3 +75,43 @@ def trapezoid_fourier(values, theta, n):
     return float(np.sum(values * np.cos(n * theta)) * width / np.pi), float(
         np.sum(values * np.sin(n * theta)) * width / np.pi
     )
+
+
+def reduced_torus_operator(alpha, nu, formulation):
+    """Hand-reduced potential W(theta) and weight u(theta) of the torus problem.
+
+    Minor radius 1, beta = 2 E: -(1/u) (u psi')' + W psi = beta psi with
+    u = 1 + alpha cos(theta) and
+
+        laplacian:  W = (nu^2 alpha^2 - 1/4) / u^2
+        hermitian:  W = (nu^2 alpha^2 + (alpha^2 - 1)/4) / u^2 + 1/4,
+
+    reduced by hand from the metric, independently of the operator pipeline.
+    """
+    def u(theta):
+        return 1.0 + alpha * np.cos(theta)
+
+    if formulation == "laplacian":
+        num = nu * nu * alpha * alpha - 0.25
+        shift = 0.0
+    else:
+        num = nu * nu * alpha * alpha + 0.25 * (alpha * alpha - 1.0)
+        shift = 0.25
+
+    def w(theta):
+        uu = u(theta)
+        return num / (uu * uu) + shift
+
+    return w, u
+
+
+def reduced_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
+    """H, S of the hand-reduced torus problem by the periodic trapezoid rule."""
+    w, u = reduced_torus_operator(alpha, nu, formulation)
+    theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
+    wq = 2.0 * math.pi / n_quad
+    uu = u(theta)
+    phi, dphi = fourier_block(parity, n_max, theta)
+    h = (dphi * (uu * wq)) @ dphi.T + (phi * (w(theta) * uu * wq)) @ phi.T
+    s = (phi * (uu * wq)) @ phi.T
+    return 0.5 * (h + h.T), 0.5 * (s + s.T)

@@ -16,7 +16,7 @@ import numpy as np
 
 import curvedq as cq
 
-from _helpers import random_shape_source
+from _helpers import random_shape_source, reduced_weak_form
 
 TOL_BETA = 5e-3
 TOL_COEFF = 0.01
@@ -172,16 +172,12 @@ def test_criterion_06_magic_aspect_ratios():
 def test_criterion_07_two_assembly_routes_agree():
     worst = 0.0
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0):
-        patch = cq.torus_metric_patch(1.0 / alpha, 1.0)
         for formulation in ("laplacian", "hermitian"):
             for nu in (0, 1, 2):
-                w, u = cq.torus_operator(alpha, nu, formulation)
-                coeffs = cq.surface_operator(patch, formulation, nu, "left")
-                scaled_pot = lambda th: 2.0 * coeffs.c0(th)
-                scaled_wgt = lambda th: alpha * coeffs.weight(th)
+                problem = cq.TorusProblem(alpha, nu, formulation)
                 for parity in ("even", "odd"):
-                    h1, s1 = cq.weak_form_matrices(w, u, parity, 24, 128)
-                    h2, s2 = cq.weak_form_matrices(scaled_pot, scaled_wgt, parity, 24, 128)
+                    h1, s1 = reduced_weak_form(alpha, nu, formulation, parity, 24, 128)
+                    h2, s2 = cq.assemble(problem, parity)
                     worst = max(worst, float(np.max(np.abs(h1 - h2))), float(np.max(np.abs(s1 - s2))))
     _report(7, "reduced-equation and operator-pipeline matrices agree entrywise",
             worst <= 1e-10, f"max deviation {worst:.2e}")

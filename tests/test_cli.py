@@ -141,6 +141,44 @@ def test_config_values_of_the_wrong_type_refused(tmp_path, capsys):
     assert code == 0 and len(out.strip().splitlines()) == 3
 
 
+def test_config_format_outside_the_choices_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for fmt in ("xml", "table", ["json"]):
+        cfg.write_text(json.dumps({"format": fmt}), encoding="utf-8")
+        for argv in (
+            ["spectrum", "--alpha", "0.5"],
+            ["magic", "--nu", "1"],
+            ["check", "--samples", "1"],
+            ["curvature", "--torus", "3", "1", "--points", "2"],
+            ["compare", "--alpha", "1/2", "--nmax", "2", "--nquad", "16"],
+        ):
+            if fmt == "table" and argv[0] in ("curvature", "compare"):
+                continue  # a valid choice there
+            code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+            assert (code, out) == (1, ""), (fmt, argv)
+            assert err.startswith("error:") and "--format" in err and err.count("\n") == 1, (fmt, argv)
+    cfg.write_text(json.dumps({"format": "csv"}), encoding="utf-8")
+    code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--states", "1", "--config", str(cfg)])
+    assert code == 0 and out.startswith("beta,parity,")
+
+
+def test_config_booleans_refused_as_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for settings, argv, flag in (
+        ({"samples": True}, ["check"], "--samples"),
+        ({"seed": False}, ["check", "--samples", "1"], "--seed"),
+        ({"digits": True}, ["magic", "--nu", "1"], "--digits"),
+        ({"alpha": True}, ["check", "--samples", "1"], "--alpha"),
+        ({"q": True}, ["curvature", "--torus", "3", "1"], "--q"),
+        ({"wmin": False, "wmax": 1.0}, ["curvature", "--torus", "3", "1"], "--wmin"),
+        ({"nu": True}, ["spectrum", "--alpha", "0.5"], "nu"),
+    ):
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out) == (1, ""), settings
+        assert err.startswith("error:") and flag in err and err.count("\n") == 1, settings
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -261,6 +299,15 @@ def test_check_subcommand(capsys):
     assert herm["naive_momentum_residual"] >= 0.1
     assert herm["ordering_selfadjointness_defect"]["sandwich"] <= 1e-9
     assert herm["ordering_selfadjointness_defect"]["left"] >= 1e-2
+
+
+def test_check_ordering_defects_are_exact(capsys):
+    # (c2 weight)' is taken from the frame, so the self-adjoint ordering reads rounding only
+    code, out, _ = _run(capsys, ["check", "--samples", "1"])
+    assert code == 0
+    defect = json.loads(out)["hermiticity"]["ordering_selfadjointness_defect"]
+    assert defect["sandwich"] <= 1e-14
+    assert defect["left"] == 1.371533
 
 
 def test_emit_determinism():

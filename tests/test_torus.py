@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from curvedq.cli import selfadjointness_defect
+from curvedq.geometry import torus_metric_patch
+from curvedq.operators import FORMULATIONS, surface_operator
 from curvedq.torus import (
     TorusProblem,
     assemble,
@@ -13,9 +17,13 @@ from curvedq.torus import (
     solve_spectrum,
     solve_triangular,
     table_states,
-    torus_operator,
-    weak_form_matrices,
 )
+
+from _helpers import reduced_torus_operator, reduced_weak_form
+
+
+def _torus_coeffs(alpha, nu, formulation):
+    return surface_operator(torus_metric_patch(1.0 / alpha, 1.0), formulation, nu)
 
 
 def test_problem_validation():
@@ -29,7 +37,7 @@ def test_problem_validation():
 
 
 def test_problem_rejects_non_integer_nu():
-    for nu in (1.7, -0.5, float("nan"), float("inf"), "x"):
+    for nu in (1.7, -0.5, float("nan"), float("inf"), "x", True):
         with pytest.raises(ValueError, match="nu"):
             TorusProblem(0.5, nu, "laplacian")
     assert TorusProblem(0.5, 2.0, "laplacian").nu == 2
@@ -38,28 +46,40 @@ def test_problem_rejects_non_integer_nu():
 
 
 def test_weight_function():
-    _, u = torus_operator(0.25, 0, "laplacian")
-    assert u(0.0) == 1.25
-    assert u(math.pi) == 0.75
+    # u = alpha a1 a2 on the torus patch of unit minor radius
+    op = _torus_coeffs(0.25, 0, "laplacian")
+    assert 0.25 * op.weight(0.0) == 1.25
+    assert 0.25 * op.weight(math.pi) == 0.75
 
 
 def test_magic_radius_kills_laplacian_potential():
-    w, _ = torus_operator(0.5, 1, "laplacian")
+    w, _ = reduced_torus_operator(0.5, 1, "laplacian")
     theta = np.linspace(0.0, 2.0 * math.pi, 40)
     assert np.max(np.abs(w(theta))) == 0.0
 
 
 def test_hermitian_magic_radius_leaves_constant_quarter():
     alpha = 1.0 / math.sqrt(5.0)
-    w, _ = torus_operator(alpha, 1, "hermitian")
+    op = _torus_coeffs(alpha, 1, "hermitian")
     theta = np.linspace(0.0, 2.0 * math.pi, 40)
-    assert np.max(np.abs(w(theta) - 0.25)) <= 1e-15
+    assert np.max(np.abs(2.0 * op.c0(theta) - 0.25)) <= 1e-15
 
 
 def test_small_alpha_hermitian_potential_vanishes():
-    w, _ = torus_operator(1e-9, 0, "hermitian")
+    op = _torus_coeffs(1e-9, 0, "hermitian")
     theta = np.linspace(0.0, 2.0 * math.pi, 20)
-    assert np.max(np.abs(w(theta))) <= 1e-8
+    assert np.max(np.abs(2.0 * op.c0(theta))) <= 1e-8
+
+
+def test_torus_operators_are_sturm_liouville_self_adjoint():
+    # (c2 weight)' = c1 weight is what lets assemble drop c1 from the weak form
+    grid = np.linspace(0.0, 2.0 * math.pi, 37)
+    for alpha in (0.05, 1.0 / 3.0, 0.5, 0.9, 0.99):
+        patch = torus_metric_patch(1.0 / alpha, 1.0)
+        for formulation in FORMULATIONS:
+            for nu in (0, 1, 2):
+                coeffs = surface_operator(patch, formulation, nu)
+                assert selfadjointness_defect(patch, coeffs, grid) <= 1e-14, (alpha, formulation, nu)
 
 
 def test_overlap_entries_alpha_one_third():
@@ -81,10 +101,16 @@ def test_quadrature_overlap_matches_analytic():
 
 
 def test_vanishing_potential_zeroes_constant_row():
-    problem = TorusProblem(0.5, 1, "laplacian")
-    h, _ = assemble(problem, "even")
+    h, _ = reduced_weak_form(0.5, 1, "laplacian", "even", 24, 128)
     assert np.max(np.abs(h[0, :])) == 0.0
     assert np.max(np.abs(h[:, 0])) == 0.0
+
+
+def test_magic_ratio_constant_row_of_assembled_block_vanishes():
+    # the operator route leaves rounding in nu^2 - R^2/4, not an exact zero
+    for nu in range(1, 6):
+        h, _ = assemble(TorusProblem(magic_alpha(nu, "laplacian"), nu, "laplacian"), "even")
+        assert np.max(np.abs(h[0, :])) <= 1e-15, nu
 
 
 def test_jacobi_against_scipy_oracle():
@@ -242,7 +268,7 @@ def test_parity_blocks_match_full_basis_solve():
     # independent route: one combined cos+sin basis, solved by scipy's
     # generalized eigensolver
     alpha, nu, form, n_max, n_quad = 0.45, 1, "laplacian", 16, 96
-    w, u = torus_operator(alpha, nu, form)
+    w, u = reduced_torus_operator(alpha, nu, form)
     theta = np.arange(n_quad) * 2.0 * math.pi / n_quad
     wq = 2.0 * math.pi / n_quad
     rows = [np.ones_like(theta)] + [np.cos(m * theta) for m in range(1, n_max + 1)]
@@ -302,8 +328,40 @@ def test_degenerate_pair_listed_odd_first():
     assert states[2].basis == "sin"
 
 
-def test_weak_form_matrices_symmetry():
-    w, u = torus_operator(0.37, 2, "hermitian")
-    h, s = weak_form_matrices(w, u, "odd", 12, 64)
+def test_assembled_blocks_are_symmetric():
+    h, s = assemble(TorusProblem(0.37, 2, "hermitian", 12, 64), "odd")
     assert np.array_equal(h, h.T)
     assert np.array_equal(s, s.T)
+
+
+_configs = st.tuples(
+    st.floats(0.01, 0.95),
+    st.integers(0, 4),
+    st.sampled_from(FORMULATIONS),
+    st.integers(2, 20),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs)
+def test_spectrum_sorted_and_s_orthonormal(config):
+    problem = TorusProblem(*config)
+    result = solve_spectrum(problem)
+    betas = [e.beta for e in result.entries]
+    assert betas == sorted(betas)
+    for parity in ("even", "odd"):
+        coeffs = np.array([e.coeffs for e in result.entries if e.parity == parity])
+        gram = coeffs @ overlap_analytic(problem.alpha, parity, problem.n_max) @ coeffs.T
+        assert np.max(np.abs(gram - np.eye(len(coeffs)))) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs, st.integers(1, 6))
+def test_spectrum_obeys_rayleigh_ritz_in_basis_size(config, extra):
+    # nested bases on the same quadrature grid: no beta_j may rise with n_max
+    alpha, nu, formulation, n_max = config
+    n_quad = 4 * (n_max + extra) + 8
+    coarse = solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad)).entries
+    fine = solve_spectrum(TorusProblem(alpha, nu, formulation, n_max + extra, n_quad)).entries
+    for small, large in zip(coarse, fine):
+        assert large.beta <= small.beta + 1e-9 * max(1.0, abs(small.beta))
