@@ -31,6 +31,12 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
 
 
+def _fraction_text(text):
+    """A flag value that _fraction accepts, kept as typed."""
+    _fraction(text)
+    return text
+
+
 def _round(x, digits):
     r = round(float(x), digits)
     return 0.0 if r == 0.0 else r
@@ -73,23 +79,17 @@ def _cell(value, digits):
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_curvature(ns, cfg):
-    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _format(ns, cfg)
-    q = _real(ns, cfg, "q", 0.0)
-    points = _at_least(ns, cfg, "points", 100, 1)
-    wmin = _real(ns, cfg, "wmin", None)
-    wmax = _real(ns, cfg, "wmax", None)
-
+def _cmd_curvature(ns):
+    digits, wmin, wmax = ns.digits, ns.wmin, ns.wmax
     if ns.torus is not None:
         big, small = ns.torus
         patch = geometry.torus_metric_patch(big, small)
         if wmin is None and wmax is None:
-            grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+            grid = np.linspace(0.0, 2.0 * math.pi, ns.points, endpoint=False)
         elif wmin is None or wmax is None:
             raise UsageError("give both --wmin and --wmax, or neither")
         else:
-            grid = np.linspace(wmin, wmax, points)
+            grid = np.linspace(wmin, wmax, ns.points)
     else:
         if ns.shape is not None:
             src = ns.shape
@@ -103,38 +103,32 @@ def _cmd_curvature(ns, cfg):
         if wmin is None or wmax is None:
             raise UsageError("--wmin and --wmax are required for a shape-function surface")
         patch = geometry.graph_metric_patch(expr, (wmin, wmax))
-        grid = np.linspace(wmin, wmax, points)
+        grid = np.linspace(wmin, wmax, ns.points)
 
     header = ["w", "Z", "k1", "k2", "h", "k", "V_C", "F"]
     rows = []
     for w in grid:
-        s = geometry.curvature_sample(patch, float(w), q)
+        s = geometry.curvature_sample(patch, float(w), ns.q)
         rows.append([s.w, s.z, s.k1, s.k2, s.h, s.k, s.vc, s.f])
-    if fmt == "json":
+    if ns.format == "json":
         payload = {
-            "q": _round(q, digits),
+            "q": _round(ns.q, digits),
             "samples": [
                 {key: _round(val, digits) for key, val in zip(header, row)} for row in rows
             ],
         }
         return emit(payload, "json", digits)
-    return emit((header, rows), fmt, digits)
+    return emit((header, rows), ns.format, digits)
 
 
-def _cmd_spectrum(ns, cfg):
-    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _format(ns, cfg)
-    n_states = _at_least(ns, cfg, "states", 8, 1)
+def _cmd_spectrum(ns):
+    digits = ns.digits
     problem = torus.TorusProblem(
-        alpha=ns.alpha,
-        nu=_opt(ns, cfg, "nu", 0),
-        formulation=_opt(ns, cfg, "formulation", "laplacian"),
-        n_max=_at_least(ns, cfg, "nmax", 24, 1),
-        n_quad=_at_least(ns, cfg, "nquad", 128, 1),
+        alpha=ns.alpha, nu=ns.nu, formulation=ns.formulation, n_max=ns.nmax, n_quad=ns.nquad
     )
     result = torus.solve_spectrum(problem)
-    entries = result.entries[:n_states]
-    if fmt == "csv":
+    entries = result.entries[: ns.states]
+    if ns.format == "csv":
         width = max(len(e.coeffs) for e in entries)
         header = ["beta", "parity"] + [f"c{i}" for i in range(width)]
         rows = []
@@ -160,25 +154,19 @@ def _cmd_spectrum(ns, cfg):
     return emit(payload, "json", digits)
 
 
-def _cmd_compare(ns, cfg):
-    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    fmt = _format(ns, cfg)
-    n_max = _at_least(ns, cfg, "nmax", 24, 1)
-    n_quad = _at_least(ns, cfg, "nquad", 128, 1)
-    try:
-        alpha = float(Fraction(ns.alpha))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a number or fraction: {ns.alpha!r}") from None
+def _cmd_compare(ns):
+    digits = ns.digits
+    alpha = _fraction(ns.alpha)
     header = ["beta", "nu", "parity", "basis", "b1", "b2", "b3"]
     blocks = []
     for formulation in torus.FORMULATIONS:
         rows = []
-        for st in torus.table_states(alpha, formulation, n_max=n_max, n_quad=n_quad):
+        for st in torus.table_states(alpha, formulation, n_max=ns.nmax, n_quad=ns.nquad):
             lead = [float(c) for c in st.coeffs[:3]]
             lead += [0.0] * (3 - len(lead))
             rows.append([st.beta, st.nu, st.parity, st.basis] + lead)
         blocks.append((formulation, rows))
-    if fmt == "csv":
+    if ns.format == "csv":
         flat = [[form] + row for form, rows in blocks for row in rows]
         return emit((["formulation"] + header, flat), "csv", digits)
     out = [f"alpha = {ns.alpha} ({alpha:.{digits}f})"]
@@ -189,15 +177,14 @@ def _cmd_compare(ns, cfg):
     return "\n".join(out) + "\n"
 
 
-def _cmd_magic(ns, cfg):
-    fmt = _format(ns, cfg)
-    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
+def _cmd_magic(ns):
+    digits = ns.digits
     payload = {
         "nu": ns.nu,
         "laplacian": _round(torus.magic_alpha(ns.nu, "laplacian"), digits),
         "hermitian": _round(torus.magic_alpha(ns.nu, "hermitian"), digits),
     }
-    return emit(payload, fmt, digits)
+    return emit(payload, ns.format, digits)
 
 
 def _polynomial_source(rng):
@@ -245,12 +232,8 @@ def selfadjointness_defect(patch, coeffs, grid):
     return worst
 
 
-def _cmd_check(ns, cfg):
-    fmt = _format(ns, cfg)
-    digits = _at_least(ns, cfg, "digits", _DEFAULT_DIGITS, 0)
-    samples = _at_least(ns, cfg, "samples", 100, 1)
-    seed = _at_least(ns, cfg, "seed", 7, 0)
-    alpha = _real(ns, cfg, "alpha", 0.5)
+def _cmd_check(ns):
+    samples, seed, alpha = ns.samples, ns.seed, ns.alpha
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"--alpha must lie in (0, 1), got {alpha!r}")
 
@@ -290,58 +273,59 @@ def _cmd_check(ns, cfg):
             "ordering_selfadjointness_defect": defects,
         },
     }
-    return emit(payload, fmt, digits)
+    return emit(payload, ns.format)
 
 
 # -- argument plumbing ----------------------------------------------------------
 
-def _opt(ns, cfg, name, default):
-    value = getattr(ns, name, None)
-    if value is not None:
-        return value
-    if cfg and name in cfg:
-        return cfg[name]
-    return default
+# least value of each integer setting, from a flag or from --config
+_LEAST = {"digits": 0, "points": 1, "states": 1, "nmax": 1, "nquad": 1, "samples": 1, "seed": 0}
 
 
-def _at_least(ns, cfg, name, default, low):
-    """_opt for an integer setting, refusing a bool, a non-integer or a value below `low` (exit code 1)."""
-    value = _opt(ns, cfg, name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"--{name} must be an integer of at least {low}, got {value!r}")
-    return value
+def _integer_error(name, value):
+    least = f" of at least {_LEAST[name]}" if name in _LEAST else ""
+    return ValueError(f"--{name} must be an integer{least}, got {value!r}")
 
 
-def _real(ns, cfg, name, default):
-    """_opt for a real setting, refusing a bool or a value that is not a number (exit code 1)."""
-    value = _opt(ns, cfg, name, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"--{name} must be a number, got {value!r}")
-    return value
+def _config_settings(sub, path):
+    """The values in JSON file `path` of the settings of subcommand parser
+    `sub`, each checked by the kind of its flag (exit code 1).
+
+    A setting is an optional flag of one value with a type or choices.  The
+    required flags, the surface source, -o and --config come from the command
+    line only, so those keys, like unknown ones, are ignored.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {type(cfg).__name__}")
+    checked = {}
+    for action in sub._actions:
+        name = action.dest
+        setting = not action.required and action.nargs is None and (action.type or action.choices)
+        if not setting or name not in cfg:
+            continue
+        value = cfg[name]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"--{name} must be one of {', '.join(action.choices)}, got {value!r}")
+        if action.type is int and not (number and isinstance(value, int)):
+            raise _integer_error(name, value)
+        if action.type is _fraction and not (number and math.isfinite(value)):
+            raise ValueError(f"--{name} must be a number, got {value!r}")
+        checked[name] = value
+    return checked
 
 
-def _format(ns, cfg):
-    """_opt for --format, refusing a value outside the subcommand's choices (exit code 1)."""
-    choices = _FORMATS[ns.command]
-    value = _opt(ns, cfg, "format", choices[0])
-    if value not in choices:
-        raise ValueError(f"--format must be one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
-# --format choices of each subcommand; the first is the default
-_FORMATS = {
-    "curvature": ("csv", "json", "table"),
-    "spectrum": ("json", "csv"),
-    "compare": ("table", "csv"),
-    "magic": ("json",),
-    "check": ("json",),
-}
-
-
-def _add_common(sub, command):
-    sub.add_argument("--format", choices=_FORMATS[command], default=None)
-    sub.add_argument("--digits", type=int, default=None)
+def _add_common(sub, formats, digits=True):
+    """--format (default: the first of `formats`), --digits unless the output
+    ignores it, -o and --config."""
+    sub.add_argument("--format", choices=formats, default=formats[0])
+    if digits:
+        sub.add_argument("--digits", type=int, default=_DEFAULT_DIGITS)
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--config", default=None)
 
@@ -353,6 +337,7 @@ def build_parser():
         "for a particle confined to a surface of revolution.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    n_max, n_quad = torus.TorusProblem.n_max, torus.TorusProblem.n_quad
 
     cur = subs.add_parser("curvature", help="curvature and V_C samples on a grid (CSV)")
     src = cur.add_mutually_exclusive_group()
@@ -361,34 +346,36 @@ def build_parser():
     src.add_argument("--torus", nargs=2, type=_fraction, metavar=("R", "A"), default=None)
     cur.add_argument("--wmin", type=_fraction, default=None)
     cur.add_argument("--wmax", type=_fraction, default=None)
-    cur.add_argument("--points", type=int, default=None)
-    cur.add_argument("--q", type=_fraction, default=None, help="normal offset (default 0)")
-    _add_common(cur, "curvature")
+    cur.add_argument("--points", type=int, default=100)
+    cur.add_argument("--q", type=_fraction, default=0.0, help="normal offset (default 0)")
+    _add_common(cur, ("csv", "json", "table"))
 
     spec = subs.add_parser("spectrum", help="torus eigenvalues and wave functions")
     spec.add_argument("--alpha", type=_fraction, required=True)
-    spec.add_argument("--nu", type=int, default=None)
-    spec.add_argument("--formulation", choices=torus.FORMULATIONS, default=None)
-    spec.add_argument("--nmax", type=int, default=None)
-    spec.add_argument("--nquad", type=int, default=None)
-    spec.add_argument("--states", type=int, default=None)
-    _add_common(spec, "spectrum")
+    spec.add_argument("--nu", type=int, default=0)
+    spec.add_argument("--formulation", choices=torus.FORMULATIONS, default=torus.FORMULATIONS[0])
+    spec.add_argument("--nmax", type=int, default=n_max)
+    spec.add_argument("--nquad", type=int, default=n_quad)
+    spec.add_argument("--states", type=int, default=8)
+    _add_common(spec, ("json", "csv"))
 
     cmp_ = subs.add_parser("compare", help="three lowest states per formulation")
-    cmp_.add_argument("--alpha", required=True, help="aspect ratio a/R, fraction or decimal")
-    cmp_.add_argument("--nmax", type=int, default=None)
-    cmp_.add_argument("--nquad", type=int, default=None)
-    _add_common(cmp_, "compare")
+    cmp_.add_argument(
+        "--alpha", type=_fraction_text, required=True, help="aspect ratio a/R, fraction or decimal"
+    )
+    cmp_.add_argument("--nmax", type=int, default=n_max)
+    cmp_.add_argument("--nquad", type=int, default=n_quad)
+    _add_common(cmp_, ("table", "csv"))
 
     mag = subs.add_parser("magic", help="aspect ratios cancelling the azimuthal term")
     mag.add_argument("--nu", type=int, required=True)
-    _add_common(mag, "magic")
+    _add_common(mag, ("json",))
 
     chk = subs.add_parser("check", help="cancellation and Hermiticity residuals")
-    chk.add_argument("--alpha", type=_fraction, default=None)
-    chk.add_argument("--samples", type=int, default=None)
-    chk.add_argument("--seed", type=int, default=None)
-    _add_common(chk, "check")
+    chk.add_argument("--alpha", type=_fraction, default=0.5)
+    chk.add_argument("--samples", type=int, default=100)
+    chk.add_argument("--seed", type=int, default=7)
+    _add_common(chk, ("json",), digits=False)
 
     return parser
 
@@ -410,17 +397,17 @@ def run(argv=None):
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
 
-    cfg = {}
-    if getattr(ns, "config", None):
-        try:
-            with open(ns.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-
     try:
-        text = _HANDLERS[ns.command](ns, cfg)
+        if ns.config:
+            # config values become the subcommand's defaults, so explicit flags still win
+            sub = parser._subparsers._group_actions[0].choices[ns.command]
+            sub.set_defaults(**_config_settings(sub, ns.config))
+            ns = parser.parse_args(argv)
+        for name, least in _LEAST.items():
+            value = getattr(ns, name, least)
+            if value < least:
+                raise _integer_error(name, value)
+        text = _HANDLERS[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -429,9 +416,8 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    output = getattr(ns, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -122,6 +122,17 @@ def cancellation_residual(h, k, q=0.0):
     return abs(rescaling_potential(h, k, q) + normal_momentum_sq_coeffs(h, k, q)[2])
 
 
+def integer_nu(nu):
+    """The azimuthal number `nu` as an int; 2.0 is accepted, 1.7 and True are refused."""
+    try:
+        value = int(nu)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != nu or isinstance(nu, bool):
+        raise ValueError(f"nu must be an integer, got {nu!r}")
+    return value
+
+
 def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     """Azimuthally reduced surface Hamiltonian as coefficient functions of w.
 
@@ -140,7 +151,7 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    nu = abs(int(nu))
+    nu = abs(integer_nu(nu))
 
     def centrifugal(fr):
         return nu * nu / (2.0 * fr.a2 * fr.a2)

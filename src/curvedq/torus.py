@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, surface_operator
+from .operators import FORMULATIONS, integer_nu, surface_operator
 
 PARITIES = ("even", "odd")
 
@@ -66,13 +66,7 @@ class TorusProblem:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}, got {self.formulation!r}")
-        try:
-            nu = int(self.nu)
-        except (TypeError, ValueError, OverflowError):
-            nu = None
-        if nu is None or nu != self.nu or isinstance(self.nu, bool):
-            raise ValueError(f"nu must be an integer, got {self.nu!r}")
-        object.__setattr__(self, "nu", abs(nu))
+        object.__setattr__(self, "nu", abs(integer_nu(self.nu)))
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
         if self.n_quad < 4 * self.n_max + 8:
@@ -242,7 +236,7 @@ def magic_alpha(nu, formulation):
     laplacian: alpha = 1/(2 nu);  hermitian: alpha = 1/sqrt(1 + 4 nu^2).
     Requires nu >= 1 (nu = 0 has no azimuthal term to cancel).
     """
-    nu = int(nu)
+    nu = integer_nu(nu)
     if nu < 1:
         raise ValueError("magic aspect ratio needs nu >= 1")
     if formulation == "laplacian":
@@ -261,7 +255,9 @@ class TableState:
     basis: str  # "cos" | "sin"
 
 
-def table_states(alpha, formulation, nus=(0, 1, 2), count=3, n_max=24, n_quad=128):
+def table_states(
+    alpha, formulation, nus=(0, 1, 2), count=3, n_max=TorusProblem.n_max, n_quad=TorusProblem.n_quad
+):
     """The `count` lowest states merged across azimuthal numbers.
 
     Numerically degenerate neighbors (beta equal after rounding to 1e-8,

@@ -87,7 +87,7 @@ def test_negative_digits_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for digits in (-2, "4", 4.0):
         cfg.write_text(json.dumps({"digits": digits}), encoding="utf-8")
-        code, out, err = _run(capsys, ["check", "--samples", "1", "--config", str(cfg)])
+        code, out, err = _run(capsys, ["magic", "--nu", "1", "--config", str(cfg)])
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "--digits" in err
     assert _run(capsys, ["magic", "--nu", "1", "--digits", "0"])[0] == 0
@@ -131,6 +131,12 @@ def test_config_values_of_the_wrong_type_refused(tmp_path, capsys):
         ({"q": "0.1"}, ["curvature", "--torus", "3", "1"], "--q"),
         ({"wmin": "0.1", "wmax": 1.0}, ["curvature", "--torus", "3", "1"], "--wmin"),
         ({"wmin": 0.1, "wmax": [1.0]}, ["curvature", "--torus", "3", "1"], "--wmax"),
+        ({"formulation": "dirac"}, ["spectrum", "--alpha", "0.5"], "--formulation"),
+        ({"points": 2.0}, ["curvature", "--torus", "3", "1"], "--points"),
+        ({"states": "2"}, ["spectrum", "--alpha", "0.5"], "--states"),
+        ({"nu": 1.5}, ["spectrum", "--alpha", "0.5"], "--nu"),
+        ({"q": float("nan")}, ["curvature", "--torus", "3", "1"], "--q"),
+        ({"wmin": 0.0, "wmax": float("inf")}, ["curvature", "--torus", "3", "1"], "--wmax"),
     ):
         cfg.write_text(json.dumps(settings), encoding="utf-8")
         code, out, err = _run(capsys, argv + ["--config", str(cfg)])
@@ -197,6 +203,8 @@ def test_usage_errors_exit_2(capsys):
     assert _run(capsys, ["bogus"])[0] == 2
     assert _run(capsys, ["spectrum"])[0] == 2  # --alpha required
     assert _run(capsys, ["spectrum", "--alpha", "0.5", "--formulation", "dirac"])[0] == 2
+    assert _run(capsys, ["compare", "--alpha", "abc"])[0] == 2
+    assert _run(capsys, ["check", "--digits", "3"])[0] == 2
 
 
 def test_help_exits_zero(capsys):
@@ -286,6 +294,42 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
         capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg), "--states", "1"]
     )
     assert len(json.loads(out)["states"]) == 1
+    cfg.write_text(json.dumps({"nmax": 10, "states": 1}), encoding="utf-8")
+    code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["n_max"] == 10
+    code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg), "--nmax", "12"])
+    assert code == 0 and json.loads(out)["n_max"] == 12
+    cfg.write_text(json.dumps({"format": "csv", "states": 1}), encoding="utf-8")
+    code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg)])
+    assert code == 0 and out.startswith("beta,parity,")
+    code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--config", str(cfg), "--format", "json"])
+    assert code == 0 and len(json.loads(out)["states"]) == 1
+    torus = ["curvature", "--torus", "3", "1", "--points", "1", "--format", "json"]
+    cfg.write_text(json.dumps({"q": 0.1}), encoding="utf-8")
+    code, out, _ = _run(capsys, torus + ["--config", str(cfg)])
+    assert code == 0 and json.loads(out)["q"] == 0.1
+    code, out, _ = _run(capsys, torus + ["--config", str(cfg), "--q", "0.2"])
+    assert code == 0 and json.loads(out)["q"] == 0.2
+
+
+def test_config_keys_that_are_not_settings_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    target = tmp_path / "never.txt"
+    for settings, argv in (
+        ({"torus": [5, 1]}, ["curvature", "--torus", "3", "1", "--points", "2"]),
+        ({"shape": "rho"}, ["curvature", "--torus", "3", "1", "--points", "2"]),
+        ({"output": str(target)}, ["magic", "--nu", "1"]),
+        ({"alpha": 0.3}, ["spectrum", "--alpha", "0.5", "--states", "1"]),
+        ({"bogus": [1]}, ["compare", "--alpha", "1/2", "--nmax", "2", "--nquad", "16"]),
+        ({"digits": "x"}, ["check", "--samples", "1"]),
+    ):
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        plain = _run(capsys, argv)
+        assert plain[0] == 0
+        assert _run(capsys, argv + ["--config", str(cfg)]) == plain, settings
+    assert not target.exists()
+    cfg.write_text(json.dumps({"alpha": 0.5}), encoding="utf-8")
+    assert _run(capsys, ["spectrum", "--config", str(cfg)])[0] == 2  # --alpha required
 
 
 def test_check_subcommand(capsys):

@@ -174,6 +174,15 @@ def test_torus_hermitian_reproduces_reduced_equation():
                 )
 
 
+def test_surface_operator_rejects_non_integer_nu():
+    patch = torus_metric_patch(3.0, 1.0)
+    for nu in (1.7, -0.5, float("nan"), "x", True):
+        for formulation in FORMULATIONS:
+            with pytest.raises(ValueError, match="nu"):
+                surface_operator(patch, formulation, nu)
+    assert surface_operator(patch, "laplacian", -2.0).c0(0.7) == surface_operator(patch, "laplacian", 2).c0(0.7)
+
+
 def test_torus_orderings_coincide():
     patch = torus_metric_patch(2.0, 0.9)
     left = surface_operator(patch, "hermitian", nu=1, ordering="left")

@@ -262,6 +262,11 @@ def test_magic_alpha_values():
     assert magic_alpha(2, "laplacian") == 0.25
     with pytest.raises(ValueError):
         magic_alpha(0, "laplacian")
+    for nu in (1.5, -0.5, True, "1"):
+        for formulation in FORMULATIONS:
+            with pytest.raises(ValueError, match="nu"):
+                magic_alpha(nu, formulation)
+    assert magic_alpha(2.0, "laplacian") == 0.25
 
 
 def test_parity_blocks_match_full_basis_solve():
