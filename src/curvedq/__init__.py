@@ -17,7 +17,6 @@ from .shapes import (
     UnknownIdentifierError,
     eval_jet2,
     eval_jet3,
-    eval_value,
     format_expr,
     parse_shape,
 )
@@ -42,7 +41,6 @@ from .operators import (
     cancellation_residual,
     hermitian_momenta,
     hermiticity_residual,
-    normal_kinetic_limit,
     normal_momentum_sq_coeffs,
     rescaling_potential,
     surface_operator,
@@ -72,7 +70,6 @@ __all__ = [
     "UnknownIdentifierError",
     "eval_jet2",
     "eval_jet3",
-    "eval_value",
     "format_expr",
     "parse_shape",
     "AxisSingularityError",
@@ -93,7 +90,6 @@ __all__ = [
     "cancellation_residual",
     "hermitian_momenta",
     "hermiticity_residual",
-    "normal_kinetic_limit",
     "normal_momentum_sq_coeffs",
     "rescaling_potential",
     "surface_operator",

@@ -47,11 +47,10 @@ class FocalSurfaceError(ValueError):
 class Frame(NamedTuple):
     """Metric data of a patch at one coordinate w.
 
-    Shell factors a1, a2 and principal curvatures k1, k2, their first
-    derivatives d_*, and the second derivatives d2_a1, d2_a2 of the shell
-    factors (the Hermitian-momentum operator coefficients need them).  The
-    torus frame also accepts an array of w; fields that do not depend on w
-    are then plain floats, which broadcast.
+    Shell factors a1, a2, principal curvatures k1, k2, and the first and
+    second derivatives of the shell factors (the operator coefficients need
+    them).  The torus frame also accepts an array of w; fields that do not
+    depend on w are then plain floats, which broadcast.
     """
 
     a1: float
@@ -60,8 +59,6 @@ class Frame(NamedTuple):
     k2: float
     d_a1: float
     d_a2: float
-    d_k1: float
-    d_k2: float
     d2_a1: float
     d2_a2: float
 
@@ -123,15 +120,12 @@ def _graph_frame(shape, rho):
     dz = s1 * s2 / z
     d2z = (s2 * s2 + s1 * s3) / z - (s1 * s2) ** 2 / z**3
     k1 = -s2 / z**3
-    dk1 = -s3 / z**3 + 3.0 * s2 * dz / z**4
     if rho == 0.0:
         # axis limit with S_rho(0) = 0: S_rho/rho -> S_rhorho(0)
         k2 = -s2 / z
-        dk2 = -0.5 * s3 / z
     else:
         k2 = -s1 / (rho * z)
-        dk2 = -s2 / (rho * z) + s1 * (z + rho * dz) / (rho * z) ** 2
-    return Frame(z, rho, k1, k2, dz, 1.0, dk1, dk2, d2z, 0.0)
+    return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
 
 
 def graph_metric_patch(shape, domain):
@@ -156,17 +150,17 @@ def graph_metric_patch(shape, domain):
 def torus_metric_patch(major_radius, minor_radius):
     """Metric patch for a torus, w = theta, periodic on [0, 2*pi).
 
-    theta = 0 is the outer equator.  Requires 0 < a < R; a >= R would
-    self-intersect.
+    theta = 0 is the outer equator.  Requires finite radii with 0 < a < R;
+    a >= R would self-intersect.
     """
     R, a = float(major_radius), float(minor_radius)
-    if not 0.0 < a < R:
-        raise ValueError(f"torus radii must satisfy 0 < a < R, got a={a}, R={R}")
+    if not (0.0 < a < R and math.isfinite(R)):
+        raise ValueError(f"torus radii must be finite with 0 < a < R, got a={a}, R={R}")
 
     def frame(w):
         c, s = np.cos(w), np.sin(w)
         a2 = R + a * c
-        return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -R * s / a2**2, 0.0, -a * c)
+        return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)
 
     return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", frame)
 

@@ -1,8 +1,8 @@
 """Forward-mode dual numbers carrying exact derivatives (no finite differencing).
 
-One jet type, Jet3, serves every caller: shape evaluation reads its first
-two derivatives, and the curvature fields of a graph, which are themselves
-differentiated, read the third.
+One jet type, Jet3, serves every caller: shape evaluation and the
+curvatures read its first two derivatives, and the second derivative of
+the slope factor Z of a graph reads the third.
 """
 
 import math
@@ -19,8 +19,8 @@ class Jet3:
 
     Arithmetic obeys the product, quotient and chain rules exactly, so
     polynomial expressions propagate with no truncation error.  The third
-    derivative is there because the principal curvatures of a graph already
-    consume two derivatives of the shape, so their slopes consume a third.
+    derivative is needed only for Z'' of a graph (Z = sqrt(1 + S'^2)),
+    which enters the Hermitian coefficients through the drift's slope.
     """
 
     value: float

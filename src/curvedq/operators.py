@@ -6,8 +6,8 @@ the form
     P = -i (d/dw + drift),     drift = (1/2) d/dw ln sqrt(g).
 
 On the surface (q = 0) the drift of a surface momentum is
-(1/2) d/dw ln(a1 a2) and the drift of the normal momentum is the mean
-curvature h (more generally (h + q k)/F).
+gamma = (1/2) d/dw ln(a1 a2) and the drift of the normal momentum is the
+mean curvature h (more generally (h + q k)/F).
 
 Expanding minus the squared normal momentum gives
 
@@ -23,15 +23,27 @@ the source of the curvature potential V_C = -(h^2 - k)/2.  The two terms
 are equal and opposite at every q, so in the Hermitian-momentum
 formulation the curvature potential cancels identically.
 
-Two operator orderings are provided for the Hermitian surface Hamiltonian,
-since quantizing p^2/a1(w)^2 is ambiguous when a1 varies:
+On the surface both routes share one kinetic operator.  With W = a1 a2 and
+b = 1/a1^2, and psi(w) e^(i nu phi),
 
-    left:      (1/(2 a1^2)) P^2         (reproduces the torus algebra)
-    sandwich:  (1/2) P (1/a1^2) P       (self-adjoint under a1 a2 dw)
+    H = -(1/2)(1/W)(W b psi')' + nu^2/(2 a2^2) + V(w),
 
-They coincide whenever a1 is constant, in particular on the torus.
+symmetric under W dw, and the routes differ only in the zero-order term V:
+
+    laplacian:  V = V_C
+    hermitian:  V = -(1/2)((b gamma)' + b gamma^2)   (sandwich, (1/2) P b P)
+
+The Hermitian term is intrinsic: it comes from the drift of P, not from the
+embedding.  Quantizing p^2/a1(w)^2 is ambiguous when a1 varies, so a second
+ordering is provided:
+
+    left:  (1/2) b P^2 = H_sandwich + (1/2) b' (d/dw + gamma)
+
+It is symmetric under W dw only where b' = 0.  On the torus a1 is
+constant, so there the two orderings coincide.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -97,11 +109,6 @@ def normal_momentum_sq_coeffs(h, k, q=0.0):
     return 1.0, 2.0 * g, k / f - g * g
 
 
-def normal_kinetic_limit(h, k):
-    """q -> 0 limit of normal_momentum_sq_coeffs: (1, 2h, k - h^2)."""
-    return 1.0, 2.0 * h, k - h * h
-
-
 def rescaling_potential(h, k, q=0.0):
     """Zero-order term generated by conjugating the normal Laplacian with F^(-1/2).
 
@@ -109,8 +116,6 @@ def rescaling_potential(h, k, q=0.0):
     exact negative of the zero-order term of -P_q^2 at every q.
     """
     f = rescaling_factor(h, k, q)
-    if q == 0.0:
-        return h * h - k
     fp = 2.0 * (h + q * k)
     fpp = 2.0 * k
     return 0.25 * (fp / f) ** 2 - 0.5 * fpp / f
@@ -136,14 +141,14 @@ def integer_nu(nu):
 def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     """Azimuthally reduced surface Hamiltonian as coefficient functions of w.
 
-    The wave function is taken as psi(w) e^(i nu phi).  In units
-    hbar = m = 1:
-
-    * "laplacian": -(1/2) Laplace-Beltrami + nu^2/(2 a2^2) + V_C; the
-      coefficients satisfy (c2 * weight)' = c1 * weight with
-      weight = a1 a2 (Sturm-Liouville form).
-    * "hermitian": (1/2) p^2/a1^2 quantized with `ordering` (see module
-      docstring) + nu^2/(2 a2^2); no curvature potential appears.
+    The wave function is taken as psi(w) e^(i nu phi), in units
+    hbar = m = 1.  Both formulations share the kinetic term of the module
+    docstring, c2 = -b/2 and c1 = -(1/2)(b' + 2 b gamma), so
+    (c2 * weight)' = c1 * weight with weight = a1 a2 (Sturm-Liouville form).
+    The zero-order term c0 is nu^2/(2 a2^2) plus V_C for "laplacian" and
+    plus the drift term -(1/2)(b' gamma + b gamma' + b gamma^2) for
+    "hermitian"; no curvature potential appears there.  The `left`
+    ordering drops b' from c1 and c0.
 
     `ordering` is ignored for the laplacian formulation.
     """
@@ -152,56 +157,33 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     nu = abs(integer_nu(nu))
+    left = formulation == "hermitian" and ordering == "left"
 
-    def centrifugal(fr):
-        return nu * nu / (2.0 * fr.a2 * fr.a2)
+    def kinetic(fr):
+        """b = 1/a1^2, the slope b' that enters the operator, and gamma."""
+        a1 = fr.a1
+        db = 0.0 if left else -2.0 * fr.d_a1 / a1**3
+        return 1.0 / (a1 * a1), db, _gamma(fr)
 
     def c2(w):
         a1 = patch.frame(w).a1
         return -0.5 / (a1 * a1)
 
+    def c1(w):
+        b, db, g = kinetic(patch.frame(w))
+        return -0.5 * (db + 2.0 * b * g)
+
+    def c0(w):
+        fr = patch.frame(w)
+        centrifugal = 0.5 * (nu / fr.a2) ** 2
+        if formulation == "laplacian":
+            return centrifugal + curvature_potential(fr.k1, fr.k2)
+        b, db, g = kinetic(fr)
+        return centrifugal - 0.5 * (db * g + b * _dgamma(fr) + b * g * g)
+
     def weight(w):
         fr = patch.frame(w)
         return fr.a1 * fr.a2
-
-    if formulation == "laplacian":
-
-        def c1(w):
-            fr = patch.frame(w)
-            a1 = fr.a1
-            return -0.5 * (fr.d_a2 / (a1 * a1 * fr.a2) - fr.d_a1 / a1**3)
-
-        def c0(w):
-            fr = patch.frame(w)
-            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2)
-
-    elif ordering == "left":
-
-        def c1(w):
-            fr = patch.frame(w)
-            return -_gamma(fr) / (fr.a1 * fr.a1)
-
-        def c0(w):
-            fr = patch.frame(w)
-            g = _gamma(fr)
-            return -(_dgamma(fr) + g * g) / (2.0 * fr.a1 * fr.a1) + centrifugal(fr)
-
-    else:  # sandwich: (1/2) P b P with b = 1/a1^2
-
-        def c1(w):
-            fr = patch.frame(w)
-            a1 = fr.a1
-            b = 1.0 / (a1 * a1)
-            db = -2.0 * fr.d_a1 / a1**3
-            return -0.5 * (db + 2.0 * b * _gamma(fr))
-
-        def c0(w):
-            fr = patch.frame(w)
-            a1 = fr.a1
-            b = 1.0 / (a1 * a1)
-            db = -2.0 * fr.d_a1 / a1**3
-            g = _gamma(fr)
-            return -0.5 * (db * g + b * _dgamma(fr) + b * g * g) + centrifugal(fr)
 
     return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=weight)
 
@@ -215,6 +197,15 @@ def _dgamma(fr):
     """w-derivative of _gamma."""
     r1, r2 = fr.d_a1 / fr.a1, fr.d_a2 / fr.a2
     return 0.5 * (fr.d2_a1 / fr.a1 - r1 * r1 + fr.d2_a2 / fr.a2 - r2 * r2)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_points):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size; read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _value_and_slope(fn, w):
@@ -256,7 +247,7 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
                         raise BoundaryCompatibilityError(
                             f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
                         )
-            nodes, gw = np.polynomial.legendre.leggauss(n_points)
+            nodes, gw = _gauss_legendre(n_points)
             theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             wq = 0.5 * (hi - lo) * gw
         measure = np.array([fr.a1 * fr.a2 for fr in map(patch.frame, theta)])

@@ -358,7 +358,3 @@ def eval_jet3(expr, rho):
     rho = float(rho)
     jet = _eval(expr.root, Jet3.variable(rho), rho)
     return _check_finite(expr, jet, rho, ("value", "d1", "d2", "d3"))
-
-
-def eval_value(expr, rho):
-    return eval_jet2(expr, rho).value

@@ -185,17 +185,39 @@ def test_config_booleans_refused_as_numbers(tmp_path, capsys):
         assert err.startswith("error:") and flag in err and err.count("\n") == 1, settings
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python(*args):
+    """A fresh interpreter with the checkout's src/ on the path, so stderr shows
+    everything a user sees, warnings included."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", "import curvedq.cli, sys; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
     )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _python("-c", "import curvedq.cli, sys; print('scipy' in sys.modules)")
+    assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_tiny_alpha_spectrum_writes_nothing_to_stderr():
+    # R = 1/alpha = 1e300: a2**2 would overflow, so the frame and c0 never form it
+    proc = _python("-m", "curvedq.cli", "spectrum", "--alpha", "1e-300", "--nu", "2", "--states", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["states"][0]["beta"] == -0.25
+
+
+def test_infinite_major_radius_refused():
+    # 1/1e-320 overflows to inf, which passes 0 < a < R
+    for argv in (["spectrum", "--alpha", "1e-320"], ["check", "--alpha", "1e-320", "--samples", "1"]):
+        proc = _python("-m", "curvedq.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr, argv
+        assert proc.stderr.count("\n") == 1, argv
 
 
 def test_usage_errors_exit_2(capsys):

@@ -13,14 +13,13 @@ from curvedq.operators import (
     cancellation_residual,
     hermitian_momenta,
     hermiticity_residual,
-    normal_kinetic_limit,
     normal_momentum_sq_coeffs,
     rescaling_potential,
     surface_operator,
 )
 from curvedq.shapes import parse_shape
 
-from _helpers import random_shape_source
+from _helpers import poly_derivative, poly_eval, poly_source, random_shape_source
 
 
 def _fd(fn, w, h=1e-5):
@@ -80,8 +79,8 @@ def test_normal_momentum_drift_is_mean_curvature():
 
 
 def test_normal_kinetic_limit_values():
-    assert normal_kinetic_limit(0.5, 0.0) == (1.0, 1.0, -0.25)
-    assert normal_kinetic_limit(0.0, 0.0) == (1.0, 0.0, 0.0)
+    assert normal_momentum_sq_coeffs(0.5, 0.0, 0.0) == (1.0, 1.0, -0.25)
+    assert normal_momentum_sq_coeffs(0.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
 
 
 def test_cancellation_is_algebraic_identity():
@@ -89,7 +88,7 @@ def test_cancellation_is_algebraic_identity():
     for _ in range(300):
         h = float(rng.uniform(-3.0, 3.0))
         k = float(rng.uniform(-3.0, 3.0))
-        d2, d1, c0 = normal_kinetic_limit(h, k)
+        d2, d1, c0 = normal_momentum_sq_coeffs(h, k, 0.0)
         assert (d2, d1) == (1.0, 2.0 * h)
         assert c0 + (h * h - k) == 0.0
         assert cancellation_residual(h, k) == 0.0
@@ -110,7 +109,7 @@ def test_full_q_expansion_cancels_rescaling_term_everywhere():
 
 def test_full_q_expansion_reduces_to_limit():
     h, k = 0.37, -0.81
-    assert normal_momentum_sq_coeffs(h, k, 0.0) == normal_kinetic_limit(h, k)
+    assert normal_momentum_sq_coeffs(h, k, 0.0) == (1.0, 2.0 * h, k - h * h)
 
 
 def test_laplacian_coefficients_match_graph_closed_form():
@@ -124,6 +123,33 @@ def test_laplacian_coefficients_match_graph_closed_form():
         assert coeffs.c1(rho) == pytest.approx(-0.5 * (1.0 / (z * z * rho) - dz / z**3), rel=1e-13)
         s = curvature_sample(patch, rho)
         assert coeffs.c0(rho) == pytest.approx(s.vc, rel=1e-13)
+
+
+def test_routes_share_the_kinetic_term_and_left_adds_the_slope_of_b():
+    # Horner oracle on random cubics: b = 1/(1 + S'^2), gamma = (1/2)(Z'/Z + 1/rho)
+    rng = np.random.default_rng(55)
+    for _ in range(25):
+        cubic = list(rng.uniform(-1.0, 1.0, size=4))
+        patch = graph_metric_patch(parse_shape(poly_source(cubic)), (0.3, 1.7))
+        nu = int(rng.integers(0, 3))
+        lap = surface_operator(patch, "laplacian", nu)
+        sandwich = surface_operator(patch, "hermitian", nu, "sandwich")
+        left = surface_operator(patch, "hermitian", nu, "left")
+        d1 = poly_derivative(cubic)
+        d2 = poly_derivative(d1)
+        for rho in rng.uniform(0.4, 1.6, size=5):
+            rho = float(rho)
+            s1, s2 = poly_eval(d1, rho), poly_eval(d2, rho)
+            zz = 1.0 + s1 * s1
+            db = -2.0 * s1 * s2 / (zz * zz)
+            gamma = 0.5 * (s1 * s2 / zz + 1.0 / rho)
+            for field in ("c2", "c1"):
+                a, b = getattr(lap, field)(rho), getattr(sandwich, field)(rho)
+                assert abs(a - b) <= 1e-14 * abs(b), field
+            scale = max(1.0, abs(sandwich.c1(rho)))
+            assert abs(left.c1(rho) - sandwich.c1(rho) - 0.5 * db) <= 1e-14 * scale
+            scale = max(1.0, abs(sandwich.c0(rho)))
+            assert abs(left.c0(rho) - sandwich.c0(rho) - 0.5 * db * gamma) <= 1e-14 * scale
 
 
 def test_laplacian_is_sturm_liouville_self_adjoint():

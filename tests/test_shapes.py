@@ -9,7 +9,6 @@ from curvedq.shapes import (
     UnknownIdentifierError,
     eval_jet2,
     eval_jet3,
-    eval_value,
     format_expr,
     parse_shape,
 )
@@ -25,12 +24,12 @@ from _helpers import (
 
 def test_parse_and_evaluate_quadratic():
     expr = parse_shape("0.5*rho^2")
-    assert eval_value(expr, 1.0) == 0.5
+    assert eval_jet2(expr, 1.0).value == 0.5
 
 
 def test_parse_hemisphere_shape():
     expr = parse_shape("sqrt(4 - rho^2)")
-    assert eval_value(expr, 0.0) == 2.0
+    assert eval_jet2(expr, 0.0).value == 2.0
 
 
 def test_syntax_error_offset_and_expected_tokens():
@@ -79,20 +78,20 @@ def test_jet_of_constant():
 
 
 def test_pi_constant():
-    assert eval_value(parse_shape("pi"), 1.0) == math.pi
-    assert eval_value(parse_shape("cos(pi)"), 0.5) == -1.0
+    assert eval_jet2(parse_shape("pi"), 1.0).value == math.pi
+    assert eval_jet2(parse_shape("cos(pi)"), 0.5).value == -1.0
 
 
 def test_power_binds_tighter_than_unary_minus():
-    assert eval_value(parse_shape("-rho^2"), 3.0) == -9.0
+    assert eval_jet2(parse_shape("-rho^2"), 3.0).value == -9.0
 
 
 def test_power_right_associative():
-    assert eval_value(parse_shape("2^3^2"), 1.0) == 512.0
+    assert eval_jet2(parse_shape("2^3^2"), 1.0).value == 512.0
 
 
 def test_negative_exponent():
-    assert eval_value(parse_shape("rho^-2"), 2.0) == 0.25
+    assert eval_jet2(parse_shape("rho^-2"), 2.0).value == 0.25
 
 
 def test_whitespace_insensitive():
@@ -193,6 +192,6 @@ def test_eval_jet3_matches_jet2_and_adds_third_order():
 
 
 def test_number_formats():
-    assert eval_value(parse_shape("1e3"), 0.0) == 1000.0
-    assert eval_value(parse_shape(".5"), 0.0) == 0.5
-    assert eval_value(parse_shape("2.5e-1"), 0.0) == 0.25
+    assert eval_jet2(parse_shape("1e3"), 0.0).value == 1000.0
+    assert eval_jet2(parse_shape(".5"), 0.0).value == 0.5
+    assert eval_jet2(parse_shape("2.5e-1"), 0.0).value == 0.25

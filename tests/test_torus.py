@@ -36,6 +36,15 @@ def test_problem_validation():
     assert TorusProblem(0.5, -3, "laplacian").nu == 3
 
 
+def test_alpha_whose_major_radius_overflows_is_refused():
+    assert 1.0 / 1e-320 == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        torus_metric_patch(math.inf, 1.0)
+    for formulation in FORMULATIONS:
+        with pytest.raises(ValueError, match="finite"):
+            solve_spectrum(TorusProblem(1e-320, 0, formulation))
+
+
 def test_problem_rejects_non_integer_nu():
     for nu in (1.7, -0.5, float("nan"), float("inf"), "x", True):
         with pytest.raises(ValueError, match="nu"):
