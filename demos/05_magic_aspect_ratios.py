@@ -9,22 +9,21 @@ eigenstate with beta = 0.
 
 import numpy as np
 
-from curvedq import TorusProblem, assemble, magic_alpha, solve_spectrum
+from curvedq import TorusProblem, magic_alpha, solve_spectrum, surface_operator, torus_metric_patch
 
 print("magic aspect ratios:")
 print("   nu   laplacian 1/(2 nu)   hermitian 1/sqrt(1+4 nu^2)")
 for nu in range(1, 6):
     print(f"   {nu}    {magic_alpha(nu, 'laplacian'):<18.6f}  {magic_alpha(nu, 'hermitian'):.6f}")
 
-print("\nconstant vector as an exact eigenvector at laplacian magic ratios:")
+print("\nat laplacian magic ratios the potential c0 vanishes and the constant is the ground state:")
+theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 for nu in (1, 2, 3):
     alpha = magic_alpha(nu, "laplacian")
-    h, _ = assemble(TorusProblem(alpha, nu, "laplacian"), "even")
-    e0 = np.zeros(h.shape[0])
-    e0[0] = 1.0
-    print(f"  nu={nu}, alpha={alpha:.4f}:  ||H e0|| = {np.linalg.norm(h @ e0):.2e}")
-
-print("\nthe corresponding solved state (alpha = 1/2, nu = 1):")
-ground = solve_spectrum(TorusProblem(0.5, 1, "laplacian")).entries[0]
-print(f"  beta = {ground.beta:+.2e}, leading coefficients {np.round(ground.coeffs[:4], 6)}")
+    c0 = surface_operator(torus_metric_patch(1.0 / alpha, 1.0), "laplacian", nu).c0(theta)
+    ground = solve_spectrum(TorusProblem(alpha, nu, "laplacian")).entries[0]
+    print(
+        f"  nu={nu}, alpha={alpha:.4f}:  max|c0| = {np.max(np.abs(c0)):.2e},  beta = {ground.beta:+.2e},"
+        f"  leading coefficients {np.round(ground.coeffs[:3], 6) + 0.0}"
+    )
 print("  (the constant 0.398942 is 1/sqrt(2 pi), the normalized flat state)")

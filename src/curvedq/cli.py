@@ -137,7 +137,7 @@ def _cmd_spectrum(ns):
             rows.append([e.beta, e.parity] + coeffs)
         return emit((header, rows), "csv", digits)
     payload = {
-        "alpha": _round(problem.alpha, 12),
+        "alpha": float(f"{problem.alpha:.12g}"),
         "nu": problem.nu,
         "formulation": problem.formulation,
         "n_max": problem.n_max,

@@ -23,19 +23,27 @@ the source of the curvature potential V_C = -(h^2 - k)/2.  The two terms
 are equal and opposite at every q, so in the Hermitian-momentum
 formulation the curvature potential cancels identically.
 
-On the surface both routes share one kinetic operator.  With W = a1 a2 and
-b = 1/a1^2, and psi(w) e^(i nu phi),
+On the surface both routes share one kinetic operator.  With W = a1 a2,
+b = 1/a1^2, the drift gamma = (1/2) W'/W and psi(w) e^(i nu phi),
 
     H = -(1/2)(1/W)(W b psi')' + nu^2/(2 a2^2) + V(w),
 
 symmetric under W dw, and the routes differ only in the zero-order term V:
 
     laplacian:  V = V_C
-    hermitian:  V = -(1/2)((b gamma)' + b gamma^2)   (sandwich, (1/2) P b P)
+    hermitian:  V = -V_L,   V_L = (1/2)(b' gamma + b gamma' + b gamma^2)
+                            (sandwich, (1/2) P b P)
 
 The Hermitian term is intrinsic: it comes from the drift of P, not from the
-embedding.  Quantizing p^2/a1(w)^2 is ambiguous when a1 varies, so a second
-ordering is provided:
+embedding.  In the half-density (Liouville) form v = W^(1/2) psi the
+measure becomes the flat dw and the kinetic term gives back V_L:
+
+    W^(1/2) H W^(-1/2) v = -(1/2)(b v')' + (nu^2/(2 a2^2) + V + V_L) v.
+
+So the Laplacian route carries V_C + V_L there, while the Hermitian route
+keeps only the centrifugal term: P = -i W^(-1/2) d/dw W^(1/2), and V_C = 0
+is the statement that nothing else survives.  Quantizing p^2/a1(w)^2 is
+ambiguous when a1 varies, so a second ordering is provided:
 
     left:  (1/2) b P^2 = H_sandwich + (1/2) b' (d/dw + gamma)
 
@@ -72,12 +80,18 @@ class MomentumOp:
 
 @dataclass(frozen=True)
 class OperatorCoeffs:
-    """Second-order 1D operator c2 d^2/dw^2 + c1 d/dw + c0 with its measure density."""
+    """Second-order 1D operator c2 d^2/dw^2 + c1 d/dw + c0 with its measure density.
+
+    v0 is the zero-order term of the same operator in half-density form,
+    W^(1/2) H W^(-1/2) = c2 d^2/dw^2 + (c1 - 2 c2 gamma) d/dw + v0 on the
+    flat measure dw, which is (c2 v')' + v0 v for the self-adjoint operators.
+    """
 
     c2: Callable
     c1: Callable
     c0: Callable
     weight: Callable
+    v0: Callable
 
 
 def hermitian_momenta(patch):
@@ -146,9 +160,11 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     docstring, c2 = -b/2 and c1 = -(1/2)(b' + 2 b gamma), so
     (c2 * weight)' = c1 * weight with weight = a1 a2 (Sturm-Liouville form).
     The zero-order term c0 is nu^2/(2 a2^2) plus V_C for "laplacian" and
-    plus the drift term -(1/2)(b' gamma + b gamma' + b gamma^2) for
-    "hermitian"; no curvature potential appears there.  The `left`
-    ordering drops b' from c1 and c0.
+    minus V_L = (1/2)(b' gamma + b gamma' + b gamma^2) for "hermitian"; no
+    curvature potential appears there.  The half-density term v0 is
+    nu^2/(2 a2^2) + V_C + V_L for "laplacian" and the centrifugal term alone
+    for "hermitian".  The `left` ordering drops b' from c1 and c0 (and from
+    V_L), which leaves v0 unchanged.
 
     `ordering` is ignored for the laplacian formulation.
     """
@@ -165,6 +181,14 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         db = 0.0 if left else -2.0 * fr.d_a1 / a1**3
         return 1.0 / (a1 * a1), db, _gamma(fr)
 
+    def liouville(fr):
+        """V_L, the zero-order term the kinetic operator leaves in half-density form."""
+        b, db, g = kinetic(fr)
+        return 0.5 * (db * g + b * _dgamma(fr) + b * g * g)
+
+    def centrifugal(fr):
+        return 0.5 * (nu / fr.a2) ** 2
+
     def c2(w):
         a1 = patch.frame(w).a1
         return -0.5 / (a1 * a1)
@@ -175,17 +199,21 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
 
     def c0(w):
         fr = patch.frame(w)
-        centrifugal = 0.5 * (nu / fr.a2) ** 2
         if formulation == "laplacian":
-            return centrifugal + curvature_potential(fr.k1, fr.k2)
-        b, db, g = kinetic(fr)
-        return centrifugal - 0.5 * (db * g + b * _dgamma(fr) + b * g * g)
+            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2)
+        return centrifugal(fr) - liouville(fr)
+
+    def v0(w):
+        fr = patch.frame(w)
+        if formulation == "laplacian":
+            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2) + liouville(fr)
+        return centrifugal(fr)
 
     def weight(w):
         fr = patch.frame(w)
         return fr.a1 * fr.a2
 
-    return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=weight)
+    return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=weight, v0=v0)
 
 
 def _gamma(fr):

@@ -1,35 +1,42 @@
-"""Weighted Fourier-Galerkin eigensolver for a particle on a torus.
+"""Fourier-Galerkin eigensolver for a particle on a torus, in half-density form.
 
 The Hamiltonian is `operators.surface_operator` on the torus patch of unit
 minor radius and major radius 1/alpha (alpha = a/R, theta = 0 at the outer
 equator), so both formulations come from the metric patch as on every
 other surface.  With azimuthal wave number nu and the dimensionless
-eigenvalue beta = 2 E a^2 = 2 E, the coefficients c2, c0 and the measure
-density a1 a2 are even in theta, so the problem decouples into an even
-(cosine) and an odd (sine) parity block.  Matrices are assembled in the
-weak form
+eigenvalue beta = 2 E a^2 = 2 E, every coefficient is even in theta, so
+the problem decouples into an even (cosine) and an odd (sine) parity block.
 
-    H_mn = int (-2 c2 phi_m' phi_n' + 2 c0 phi_m phi_n) u dtheta,
-    S_mn = int  phi_m phi_n u dtheta,        u = alpha a1 a2 = 1 + alpha cos(theta),
+The blocks are assembled for the half-density function v = u^(1/2) psi,
+u = alpha a1 a2 = 1 + alpha cos(theta), on the flat measure dtheta (the
+Liouville normal form; Birkhoff & Rota, Ordinary Differential Equations):
 
-which needs no c1 because (c2 a1 a2)' = c1 a1 a2 for the laplacian and the
-sandwich-ordered hermitian operator (the default ordering, equal to `left`
-on the torus).  The periodic trapezoid rule is spectrally accurate here,
-the generalized problem is whitened by the Cholesky factor of S, and the
-dense symmetric result is diagonalized by LAPACK through numpy's `eigh`
-(the symmetric-definite reduction of LAPACK dsygv; Golub & Van Loan,
-Matrix Computations, sec. 8.7).  numpy is the only runtime dependency: the
-triangular solves are a short substitution here.  `jacobi_eigh`, a pure
-Python cyclic Jacobi solver, is kept as the reference solver for
-cross-checks and is not on the solve path.  Eigenvectors are reported in
-the raw {1, cos n theta} / {sin n theta} basis, normalized so that
-int |psi|^2 u dtheta = 1, with the largest-magnitude coefficient positive.
+    H_mn = int (-2 c2 phi_m' phi_n' + 2 v0 phi_m phi_n) dtheta,
+    S_mn = int  phi_m phi_n dtheta = diag(2 pi, pi, pi, ...),
+
+where 2 v0 is nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the laplacian and the
+centrifugal term nu^2 alpha^2/u^2 alone for the hermitian route (sandwich
+ordering, the default, equal to `left` on the torus).  The hermitian
+nu = 0 block is therefore -v'' = beta v, the free-ring ladder n^2 at every
+alpha.  The periodic trapezoid rule is spectrally accurate here, and since
+the Fourier basis is orthogonal under dtheta each block is one symmetric
+eigenproblem, diagonalized by LAPACK through numpy's `eigh`; numpy is the
+only runtime dependency.
+
+States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
+{sin n theta} basis: the u-weighted projection, solved with the
+closed-form tridiagonal overlap `overlap_analytic`, followed by Loewdin's
+symmetric orthonormalization (Loewdin, J. Chem. Phys. 18, 365 (1950)), so
+the reported coefficients satisfy int psi_i psi_j u dtheta = delta_ij in
+the truncated basis exactly; the largest-magnitude coefficient of each
+state is positive.
 
 Special values of alpha kill the azimuthal part of the potential
 ("magic" aspect ratios): alpha = 1/(2 nu) for the laplacian form and
 alpha = 1/sqrt(1 + 4 nu^2) for the hermitian one.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,15 +108,27 @@ def fourier_block(parity, n_max, theta):
     return phi, dphi
 
 
+@functools.lru_cache(maxsize=8)
+def _basis(parity, n_max, n_quad):
+    """Periodic trapezoid nodes on [0, 2 pi), their common weight, and the
+    parity block's basis values and derivatives there; built once per size,
+    read-only."""
+    width = 2.0 * math.pi / n_quad
+    theta = np.arange(n_quad) * width
+    phi, dphi = fourier_block(parity, n_max, theta)
+    for array in (theta, phi, dphi):
+        array.flags.writeable = False
+    return theta, width, phi, dphi
+
+
 def assemble(problem, parity):
-    """(H, S) for one parity block: the weak form of the module docstring,
-    c1-free because (c2 weight)' = c1 weight, by the periodic trapezoid rule."""
+    """(H, S) for one parity block in half-density form: the flat-measure
+    weak form of the module docstring by the periodic trapezoid rule, so S
+    is diag(2 pi, pi, ...) up to rounding."""
     op = surface_operator(torus_metric_patch(1.0 / problem.alpha, 1.0), problem.formulation, problem.nu)
-    theta = np.arange(problem.n_quad) * (2.0 * math.pi / problem.n_quad)
-    measure = (problem.alpha * 2.0 * math.pi / problem.n_quad) * op.weight(theta)
-    phi, dphi = fourier_block(parity, problem.n_max, theta)
-    h = (dphi * (-2.0 * op.c2(theta) * measure)) @ dphi.T + (phi * (2.0 * op.c0(theta) * measure)) @ phi.T
-    s = (phi * measure) @ phi.T
+    theta, width, phi, dphi = _basis(parity, problem.n_max, problem.n_quad)
+    h = (dphi * (-2.0 * width * op.c2(theta))) @ dphi.T + (phi * (2.0 * width * op.v0(theta))) @ phi.T
+    s = (phi * width) @ phi.T
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
 
 
@@ -135,7 +154,9 @@ def solve_triangular(a, b, lower=False):
     """Solve a x = b for a triangular matrix a by forward or back substitution.
 
     b may be a vector or a matrix whose columns are solved together; only the
-    triangle of a named by `lower` is read.
+    triangle of a named by `lower` is read.  The solver does not use it; it
+    stays in this module only because the span tracer of `bench/spans.py`
+    looks it up here by name, and goes when the benchmark stops doing so.
     """
     a = np.asarray(a, dtype=float)
     x = np.array(b, dtype=float, copy=True)
@@ -149,10 +170,12 @@ def solve_triangular(a, b, lower=False):
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Reference solver kept for cross-checks against `np.linalg.eigh`; the
-    solve path does not use it.  Sweeps until the Frobenius norm of the
-    off-diagonal part drops to `tol`.  Returns eigenvalues in ascending
-    order with the matching orthonormal eigenvector columns.
+    Reference solver for cross-checks against `np.linalg.eigh`; the solve
+    path does not use it.  It stays in this module, not with the tests, only
+    because the span tracer of `bench/spans.py` looks it up here by name.
+    Sweeps until the Frobenius norm of the off-diagonal part drops to `tol`.
+    Returns eigenvalues in ascending order with the matching orthonormal
+    eigenvector columns.
     """
     a = np.array(matrix, dtype=float, copy=True)
     n = a.shape[0]
@@ -201,31 +224,27 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):
 def solve_spectrum(problem):
     """Full spectrum of the problem, both parity blocks merged.
 
-    Whitens H c = beta S c with the Cholesky factor of S (the quadrature S
-    is cross-checked against its closed form first), diagonalizes with
-    LAPACK `eigh`, back-transforms, and normalizes each state to
-    int |psi|^2 u dtheta = 1 with the largest-magnitude coefficient
-    positive.  Entries are sorted by ascending beta.
+    Each half-density block is scaled by diag(S)^(-1/2) and diagonalized
+    by LAPACK `eigh`; the states are mapped back to psi coefficients,
+    orthonormalized under int |psi|^2 u dtheta and signed as in the module
+    docstring.  Entries are sorted by ascending beta.
     """
     entries = []
     for parity in PARITIES:
         h, s = assemble(problem, parity)
-        s_ref = overlap_analytic(problem.alpha, parity, problem.n_max)
-        drift = float(np.max(np.abs(s - s_ref)))
-        if drift > 1e-10:
-            raise RuntimeError(f"quadrature overlap deviates from closed form by {drift:.3e}")
-        chol = np.linalg.cholesky(s)  # u > 0 for alpha < 1, so S is positive definite
-        half = solve_triangular(chol, h, lower=True)
-        white = solve_triangular(chol, half.T, lower=True).T
-        vals, vecs = np.linalg.eigh(0.5 * (white + white.T))
-        coeffs = solve_triangular(chol.T, vecs, lower=False)
-        for j in range(len(vals)):
-            c = coeffs[:, j]
-            c = c / math.sqrt(float(c @ s @ c))
-            top = int(np.argmax(np.abs(c)))
-            if c[top] < 0.0:
+        scale = 1.0 / np.sqrt(np.diag(s))
+        vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
+        # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta
+        theta, width, phi, _ = _basis(parity, problem.n_max, problem.n_quad)
+        root_u = np.sqrt(1.0 + problem.alpha * np.cos(theta))
+        s_u = overlap_analytic(problem.alpha, parity, problem.n_max)
+        coeffs = np.linalg.solve(s_u, (phi * (width * root_u)) @ phi.T @ (scale[:, None] * vecs))
+        gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)
+        coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
+        for beta, c in zip(vals, coeffs.T):
+            if c[np.argmax(np.abs(c))] < 0.0:
                 c = -c
-            entries.append(SpectrumEntry(beta=float(vals[j]), parity=parity, coeffs=c))
+            entries.append(SpectrumEntry(beta=float(beta), parity=parity, coeffs=c))
     entries.sort(key=lambda e: e.beta)
     return SpectrumResult(problem=problem, entries=tuple(entries))
 

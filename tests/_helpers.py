@@ -115,3 +115,36 @@ def reduced_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
     h = (dphi * (uu * wq)) @ dphi.T + (phi * (w(theta) * uu * wq)) @ phi.T
     s = (phi * (uu * wq)) @ phi.T
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
+
+
+def half_density_potential(alpha, nu, formulation):
+    """Hand-reduced potential Q(theta) = 2 v0 of the torus problem in half-density form.
+
+    Minor radius 1, beta = 2 E, v = u^(1/2) psi with u = 1 + alpha cos(theta):
+    -v'' + Q v = beta v on the flat measure dtheta, where
+
+        laplacian:  Q = (nu^2 alpha^2 - 1/4)/u^2 - alpha cos/(2 u) - alpha^2 sin^2/(4 u^2)
+        hermitian:  Q = nu^2 alpha^2 / u^2,
+
+    reduced by hand from the metric, independently of the operator pipeline.
+    """
+    def q(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        uu = 1.0 + alpha * cos
+        centrifugal = (nu * alpha / uu) ** 2
+        if formulation == "hermitian":
+            return centrifugal
+        return centrifugal - 0.25 / (uu * uu) - alpha * cos / (2.0 * uu) - (alpha * sin / uu) ** 2 / 4.0
+
+    return q
+
+
+def half_density_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
+    """H, S of the hand-reduced half-density problem by the periodic trapezoid rule."""
+    q = half_density_potential(alpha, nu, formulation)
+    theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
+    wq = 2.0 * math.pi / n_quad
+    phi, dphi = fourier_block(parity, n_max, theta)
+    h = (dphi * wq) @ dphi.T + (phi * (q(theta) * wq)) @ phi.T
+    s = (phi * wq) @ phi.T
+    return 0.5 * (h + h.T), 0.5 * (s + s.T)

@@ -16,7 +16,7 @@ import numpy as np
 
 import curvedq as cq
 
-from _helpers import random_shape_source, reduced_weak_form
+from _helpers import half_density_weak_form, random_shape_source
 
 TOL_BETA = 5e-3
 TOL_COEFF = 0.01
@@ -161,11 +161,15 @@ def test_criterion_06_magic_aspect_ratios():
         if cq.magic_alpha(nu, "hermitian") != 1.0 / math.sqrt(1.0 + 4.0 * nu * nu):
             problems.append(f"hermitian nu={nu}")
         alpha = cq.magic_alpha(nu, "laplacian")
-        h, _ = cq.assemble(cq.TorusProblem(alpha, nu, "laplacian"), "even")
-        residual = float(np.linalg.norm(h[:, 0]))
-        if residual > 1e-12:
-            problems.append(f"nu={nu}: constant-vector residual {residual:.2e}")
-    _report(6, "magic aspect ratios exact; constant vector an exact eigenvector", not problems,
+        ground = cq.solve_spectrum(cq.TorusProblem(alpha, nu, "laplacian")).entries[0]
+        e0 = np.zeros_like(ground.coeffs)
+        e0[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        if abs(ground.beta) > 1e-12:
+            problems.append(f"nu={nu}: beta0 = {ground.beta:.2e}")
+        deviation = float(np.max(np.abs(ground.coeffs - e0)))
+        if deviation > 1e-12:
+            problems.append(f"nu={nu}: ground state off the constant by {deviation:.2e}")
+    _report(6, "magic aspect ratios exact; the constant is the ground state with beta 0", not problems,
             "; ".join(problems))
 
 
@@ -176,10 +180,10 @@ def test_criterion_07_two_assembly_routes_agree():
             for nu in (0, 1, 2):
                 problem = cq.TorusProblem(alpha, nu, formulation)
                 for parity in ("even", "odd"):
-                    h1, s1 = reduced_weak_form(alpha, nu, formulation, parity, 24, 128)
+                    h1, s1 = half_density_weak_form(alpha, nu, formulation, parity, 24, 128)
                     h2, s2 = cq.assemble(problem, parity)
                     worst = max(worst, float(np.max(np.abs(h1 - h2))), float(np.max(np.abs(s1 - s2))))
-    _report(7, "reduced-equation and operator-pipeline matrices agree entrywise",
+    _report(7, "hand-reduced and operator-pipeline half-density matrices agree entrywise",
             worst <= 1e-10, f"max deviation {worst:.2e}")
 
 

@@ -46,6 +46,13 @@ def test_spectrum_json_roundtrip_and_determinism(capsys):
     assert first == second
 
 
+def test_spectrum_reports_alpha_to_twelve_significant_digits(capsys):
+    for text, reported in (("1e-13", 1e-13), ("1/30", 0.0333333333333), ("1/3", 0.333333333333)):
+        code, out, _ = _run(capsys, ["spectrum", "--alpha", text, "--states", "1"])
+        assert code == 0
+        assert json.loads(out)["alpha"] == reported, text
+
+
 def test_spectrum_csv_header(capsys):
     code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.4", "--states", "2", "--format", "csv"])
     assert code == 0

@@ -19,7 +19,7 @@ from curvedq.operators import (
 )
 from curvedq.shapes import parse_shape
 
-from _helpers import poly_derivative, poly_eval, poly_source, random_shape_source
+from _helpers import poly_derivative, poly_eval, poly_source, random_shape_source, random_smooth_source
 
 
 def _fd(fn, w, h=1e-5):
@@ -47,7 +47,7 @@ def test_one_jet_walk_per_graph_frame(monkeypatch):
     for formulation in FORMULATIONS:
         for ordering in ORDERINGS:
             coeffs = surface_operator(patch, formulation, 1, ordering)
-            for name in ("c2", "c1", "c0", "weight"):
+            for name in ("c2", "c1", "c0", "weight", "v0"):
                 assert walks(getattr(coeffs, name), 0.7) == 1, (formulation, ordering, name)
 
 
@@ -150,6 +150,36 @@ def test_routes_share_the_kinetic_term_and_left_adds_the_slope_of_b():
             assert abs(left.c1(rho) - sandwich.c1(rho) - 0.5 * db) <= 1e-14 * scale
             scale = max(1.0, abs(sandwich.c0(rho)))
             assert abs(left.c0(rho) - sandwich.c0(rho) - 0.5 * db * gamma) <= 1e-14 * scale
+
+
+def test_half_density_term_is_the_liouville_transform_of_c0():
+    # W^(1/2) H W^(-1/2) has zero-order term c0 + c2 (gamma^2 - gamma') - c1 gamma,
+    # with gamma = W'/(2W) read here from W = a1 a2 and its derivatives
+    rng = np.random.default_rng(808)
+    patches = []
+    for _ in range(8):
+        patches.append(graph_metric_patch(parse_shape(poly_source(rng.uniform(-1.0, 1.0, 4))), (0.3, 1.7)))
+        patches.append(graph_metric_patch(parse_shape(random_smooth_source(rng)), (0.3, 1.7)))
+        patches.append(torus_metric_patch(1.0 / float(rng.uniform(0.05, 0.95)), 1.0))
+    for patch in patches:
+        points = rng.uniform(0.4, 1.6, 4) if patch.label == "rho" else rng.uniform(0.0, 2.0 * math.pi, 4)
+        nu = int(rng.integers(0, 4))
+        ops = [surface_operator(patch, "laplacian", nu)]
+        ops += [surface_operator(patch, "hermitian", nu, ordering) for ordering in ORDERINGS]
+        for w in map(float, points):
+            fr = patch.frame(w)
+            big_w = fr.a1 * fr.a2
+            d_w = fr.d_a1 * fr.a2 + fr.a1 * fr.d_a2
+            d2_w = fr.d2_a1 * fr.a2 + 2.0 * fr.d_a1 * fr.d_a2 + fr.a1 * fr.d2_a2
+            gamma = 0.5 * d_w / big_w
+            d_gamma = 0.5 * (d2_w / big_w - (d_w / big_w) ** 2)
+            for op in ops:
+                terms = (op.c0(w), op.c2(w) * (gamma * gamma - d_gamma), -op.c1(w) * gamma)
+                scale = max(abs(t) for t in terms + (op.v0(w),))
+                assert abs(op.v0(w) - sum(terms)) <= 1e-12 * scale, (patch.label, w, nu)
+            # the hermitian route keeps only the centrifugal term, in either ordering
+            for op in ops[1:]:
+                assert op.v0(w) == 0.5 * (nu / fr.a2) ** 2
 
 
 def test_laplacian_is_sturm_liouville_self_adjoint():

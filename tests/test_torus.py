@@ -9,8 +9,10 @@ from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
 from curvedq.operators import FORMULATIONS, surface_operator
 from curvedq.torus import (
+    PARITIES,
     TorusProblem,
     assemble,
+    fourier_block,
     jacobi_eigh,
     magic_alpha,
     overlap_analytic,
@@ -19,7 +21,7 @@ from curvedq.torus import (
     table_states,
 )
 
-from _helpers import reduced_torus_operator, reduced_weak_form
+from _helpers import half_density_potential, reduced_torus_operator, reduced_weak_form
 
 
 def _torus_coeffs(alpha, nu, formulation):
@@ -101,12 +103,22 @@ def test_overlap_entries_alpha_one_third():
 
 
 def test_quadrature_overlap_matches_analytic():
+    # the half-density block has the flat Gram matrix diag(2 pi, pi, ...); the
+    # u-weighted overlap that maps states back to psi is the closed form
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0):
         problem = TorusProblem(alpha, 0, "laplacian")
+        theta = np.arange(problem.n_quad) * 2.0 * math.pi / problem.n_quad
+        u = 1.0 + alpha * np.cos(theta)
         for parity in ("even", "odd"):
             _, s = assemble(problem, parity)
+            flat = math.pi * np.eye(len(s))
+            if parity == "even":
+                flat[0, 0] = 2.0 * math.pi
+            assert np.max(np.abs(s - flat)) <= 1e-13 * 2.0 * math.pi
+            phi, _ = fourier_block(parity, problem.n_max, theta)
+            s_u = (phi * (u * 2.0 * math.pi / problem.n_quad)) @ phi.T
             ref = overlap_analytic(alpha, parity, problem.n_max)
-            assert np.max(np.abs(s - ref)) <= 1e-13 * 2.0 * math.pi
+            assert np.max(np.abs(s_u - ref)) <= 1e-13 * 2.0 * math.pi
 
 
 def test_vanishing_potential_zeroes_constant_row():
@@ -115,11 +127,15 @@ def test_vanishing_potential_zeroes_constant_row():
     assert np.max(np.abs(h[:, 0])) == 0.0
 
 
-def test_magic_ratio_constant_row_of_assembled_block_vanishes():
-    # the operator route leaves rounding in nu^2 - R^2/4, not an exact zero
+def test_magic_ratio_ground_state_is_constant_for_each_nu():
+    # the half-density block has no vanishing row (v = u^(1/2) is not a
+    # trig polynomial), so the check is on the solved state
     for nu in range(1, 6):
-        h, _ = assemble(TorusProblem(magic_alpha(nu, "laplacian"), nu, "laplacian"), "even")
-        assert np.max(np.abs(h[0, :])) <= 1e-15, nu
+        ground = solve_spectrum(TorusProblem(magic_alpha(nu, "laplacian"), nu, "laplacian")).entries[0]
+        assert abs(ground.beta) <= 1e-12, nu
+        e0 = np.zeros_like(ground.coeffs)
+        e0[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(ground.coeffs - e0)) <= 1e-12, nu
 
 
 def test_jacobi_against_scipy_oracle():
@@ -161,7 +177,8 @@ def test_jacobi_reaches_offdiagonal_target():
 
 
 def test_solve_spectrum_matches_jacobi_oracle():
-    # each parity block whitened with scipy and diagonalized by cyclic Jacobi
+    # each flat half-density block diagonalized by cyclic Jacobi, its states
+    # mapped to psi = u^(-1/2) v with scipy and orthonormalized by Loewdin
     cases = (
         (1.0 / 3.0, 0, "laplacian"),
         (0.5, 1, "laplacian"),  # magic ratio
@@ -172,20 +189,47 @@ def test_solve_spectrum_matches_jacobi_oracle():
     for alpha, nu, form in cases:
         problem = TorusProblem(alpha, nu, form)
         result = solve_spectrum(problem)
+        theta = np.arange(problem.n_quad) * 2.0 * math.pi / problem.n_quad
+        root_u = np.sqrt(1.0 + alpha * np.cos(theta))
         for parity in ("even", "odd"):
             h, s = assemble(problem, parity)
-            chol = np.linalg.cholesky(s)
-            half = scipy.linalg.solve_triangular(chol, h, lower=True)
-            white = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
-            vals, vecs = jacobi_eigh(0.5 * (white + white.T))
-            coeffs = scipy.linalg.solve_triangular(chol.T, vecs, lower=False)
+            scale = 1.0 / np.sqrt(np.diag(s))
+            vals, vecs = jacobi_eigh(scale[:, None] * h * scale)
+            phi, _ = fourier_block(parity, problem.n_max, theta)
+            project = (phi * (root_u * 2.0 * math.pi / problem.n_quad)) @ phi.T
+            s_u = overlap_analytic(alpha, parity, problem.n_max)
+            coeffs = scipy.linalg.solve(s_u, project @ (scale[:, None] * vecs), assume_a="pos")
+            coeffs = coeffs @ scipy.linalg.inv(scipy.linalg.sqrtm(coeffs.T @ s_u @ coeffs).real)
             entries = [e for e in result.entries if e.parity == parity]
             assert len(entries) == len(vals)
             for j, entry in enumerate(entries):
                 assert abs(entry.beta - vals[j]) <= 1e-10 * max(1.0, abs(vals[j]))
-                c = coeffs[:, j] / math.sqrt(float(coeffs[:, j] @ s @ coeffs[:, j]))
+                c = coeffs[:, j]
                 c = c if c[np.argmax(np.abs(c))] > 0.0 else -c
                 assert np.max(np.abs(entry.coeffs - c)) <= 1e-9
+
+
+def test_psi_form_galerkin_agrees_on_the_low_spectrum():
+    # the psi-form weak form under u dtheta, solved by scipy's generalized
+    # eigensolver, converges to the same low states
+    for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0):
+        for nu in range(4):
+            for formulation in FORMULATIONS:
+                psi_form = []
+                for parity in PARITIES:
+                    h, s = reduced_weak_form(alpha, nu, formulation, parity, 24, 128)
+                    psi_form.extend(scipy.linalg.eigh(h, s, eigvals_only=True))
+                betas = [e.beta for e in solve_spectrum(TorusProblem(alpha, nu, formulation)).entries]
+                assert np.max(np.abs(np.array(betas[:8]) - sorted(psi_form)[:8])) <= 1e-10
+
+
+def test_hermitian_nu0_ladder_is_exact_near_the_horn_torus():
+    # in half-density form the hermitian nu = 0 block is -v'' = beta v exactly,
+    # however strongly u = 1 + alpha cos(theta) varies
+    for alpha in (0.99, 0.999999):
+        result = solve_spectrum(TorusProblem(alpha, 0, "hermitian", n_max=24))
+        betas = [e.beta for e in result.entries[:7]]
+        assert betas == pytest.approx([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0], abs=1e-10)
 
 
 def test_lowest_state_alpha_one_third_laplacian():
@@ -278,28 +322,6 @@ def test_magic_alpha_values():
     assert magic_alpha(2.0, "laplacian") == 0.25
 
 
-def test_parity_blocks_match_full_basis_solve():
-    # independent route: one combined cos+sin basis, solved by scipy's
-    # generalized eigensolver
-    alpha, nu, form, n_max, n_quad = 0.45, 1, "laplacian", 16, 96
-    w, u = reduced_torus_operator(alpha, nu, form)
-    theta = np.arange(n_quad) * 2.0 * math.pi / n_quad
-    wq = 2.0 * math.pi / n_quad
-    rows = [np.ones_like(theta)] + [np.cos(m * theta) for m in range(1, n_max + 1)]
-    rows += [np.sin(m * theta) for m in range(1, n_max + 1)]
-    drows = [np.zeros_like(theta)] + [-m * np.sin(m * theta) for m in range(1, n_max + 1)]
-    drows += [m * np.cos(m * theta) for m in range(1, n_max + 1)]
-    phi = np.vstack(rows)
-    dphi = np.vstack(drows)
-    uu = u(theta)
-    ww = w(theta)
-    h = (dphi * (uu * wq)) @ dphi.T + (phi * (ww * uu * wq)) @ phi.T
-    s = (phi * (uu * wq)) @ phi.T
-    full = np.sort(scipy.linalg.eigh(0.5 * (h + h.T), 0.5 * (s + s.T), eigvals_only=True))
-    merged = [e.beta for e in solve_spectrum(TorusProblem(alpha, nu, form, n_max, n_quad)).entries]
-    assert np.max(np.abs(np.array(merged) - full)) <= 1e-10 * max(1.0, abs(full[-1]))
-
-
 def test_flat_limit_spectra():
     herm = solve_spectrum(TorusProblem(1e-4, 0, "hermitian"))
     assert [e.beta for e in herm.entries[:5]] == pytest.approx([0, 1, 1, 4, 4], abs=1e-3)
@@ -379,3 +401,26 @@ def test_spectrum_obeys_rayleigh_ritz_in_basis_size(config, extra):
     fine = solve_spectrum(TorusProblem(alpha, nu, formulation, n_max + extra, n_quad)).entries
     for small, large in zip(coarse, fine):
         assert large.beta <= small.beta + 1e-9 * max(1.0, abs(small.beta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs)
+def test_parity_blocks_match_full_basis_solve(config):
+    # independent route: the hand-reduced half-density potential in one
+    # combined cos+sin basis, solved by scipy's generalized eigensolver
+    alpha, nu, form, n_max = config
+    n_quad = TorusProblem.n_quad
+    q = half_density_potential(alpha, nu, form)
+    theta = np.arange(n_quad) * 2.0 * math.pi / n_quad
+    wq = 2.0 * math.pi / n_quad
+    rows = [np.ones_like(theta)] + [np.cos(m * theta) for m in range(1, n_max + 1)]
+    rows += [np.sin(m * theta) for m in range(1, n_max + 1)]
+    drows = [np.zeros_like(theta)] + [-m * np.sin(m * theta) for m in range(1, n_max + 1)]
+    drows += [m * np.cos(m * theta) for m in range(1, n_max + 1)]
+    phi = np.vstack(rows)
+    dphi = np.vstack(drows)
+    h = (dphi * wq) @ dphi.T + (phi * (q(theta) * wq)) @ phi.T
+    s = (phi * wq) @ phi.T
+    full = np.sort(scipy.linalg.eigh(0.5 * (h + h.T), 0.5 * (s + s.T), eigvals_only=True))
+    merged = [e.beta for e in solve_spectrum(TorusProblem(*config)).entries]
+    assert np.max(np.abs(np.array(merged) - full)) <= 1e-10 * max(1.0, abs(full[-1]))
