@@ -4,8 +4,8 @@ The package builds near-surface metric and curvature data for surfaces of
 revolution (including the torus), constructs the two natural surface
 Hamiltonians (Laplacian route with its attractive curvature potential, and
 the Hermitian-momentum route in which that potential cancels identically),
-and solves the toroidal eigenproblem with a weighted Fourier-Galerkin
-method.
+and solves the toroidal eigenproblem with a Fourier-Galerkin method in
+half-density form, on the flat measure.
 """
 
 from .jets import Jet3

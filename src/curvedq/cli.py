@@ -27,8 +27,8 @@ class UsageError(Exception):
 def _fraction(text):
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a finite number or fraction: {text!r}") from None
 
 
 def _fraction_text(text):
@@ -224,12 +224,9 @@ def selfadjointness_defect(patch, coeffs, grid):
     c2 weight = -a2/(2 a1) for every surface operator, so its derivative
     is read exactly off the patch frame.
     """
-    worst = 0.0
-    for w in grid:
-        fr = patch.frame(w)
-        slope = -0.5 * (fr.d_a2 / fr.a1 - fr.a2 * fr.d_a1 / (fr.a1 * fr.a1))
-        worst = max(worst, abs(slope - coeffs.c1(w) * coeffs.weight(w)))
-    return worst
+    fr = patch.frame(grid)
+    slope = -0.5 * (fr.d_a2 / fr.a1 - fr.a2 * fr.d_a1 / (fr.a1 * fr.a1))
+    return float(np.max(np.abs(slope - coeffs.c1(grid) * coeffs.weight(grid))))
 
 
 def _cmd_check(ns):
@@ -355,7 +352,7 @@ def build_parser():
     spec.add_argument("--nu", type=int, default=0)
     spec.add_argument("--formulation", choices=torus.FORMULATIONS, default=torus.FORMULATIONS[0])
     spec.add_argument("--nmax", type=int, default=n_max)
-    spec.add_argument("--nquad", type=int, default=n_quad)
+    spec.add_argument("--nquad", type=int, default=None, help=f"default max({n_quad}, 4*nmax + 8)")
     spec.add_argument("--states", type=int, default=8)
     _add_common(spec, ("json", "csv"))
 
@@ -364,7 +361,7 @@ def build_parser():
         "--alpha", type=_fraction_text, required=True, help="aspect ratio a/R, fraction or decimal"
     )
     cmp_.add_argument("--nmax", type=int, default=n_max)
-    cmp_.add_argument("--nquad", type=int, default=n_quad)
+    cmp_.add_argument("--nquad", type=int, default=None, help=f"default max({n_quad}, 4*nmax + 8)")
     _add_common(cmp_, ("table", "csv"))
 
     mag = subs.add_parser("magic", help="aspect ratios cancelling the azimuthal term")
@@ -403,6 +400,8 @@ def run(argv=None):
             sub = parser._subparsers._group_actions[0].choices[ns.command]
             sub.set_defaults(**_config_settings(sub, ns.config))
             ns = parser.parse_args(argv)
+        if getattr(ns, "nquad", 0) is None:  # the default follows --nmax
+            ns.nquad = max(torus.TorusProblem.n_quad, 4 * ns.nmax + 8)
         for name, least in _LEAST.items():
             value = getattr(ns, name, least)
             if value < least:

@@ -49,8 +49,8 @@ class Frame(NamedTuple):
 
     Shell factors a1, a2, principal curvatures k1, k2, and the first and
     second derivatives of the shell factors (the operator coefficients need
-    them).  The torus frame also accepts an array of w; fields that do not
-    depend on w are then plain floats, which broadcast.
+    them).  Every patch frame also accepts a 1-D array of w; fields that do
+    not depend on w may then stay plain floats, which broadcast.
     """
 
     a1: float
@@ -69,7 +69,8 @@ class MetricPatch:
 
     `frame(w)` is a pure function of the coordinate w returning the Frame
     there; a caller that needs several fields at w reads them all from one
-    frame.
+    frame.  A 1-D array of w gives each field as its scalar calls stacked,
+    bit for bit, so every function of w built from frames takes arrays too.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
@@ -113,7 +114,10 @@ def rescaling_factor(h, k, q):
 
 
 def _graph_frame(shape, rho):
-    """Frame of the graph z = S(rho) at rho, from one third-order jet of S."""
+    """Frame of the graph z = S(rho) at rho, from one third-order jet of S; an array of
+    rho stacks its points' frames in order, so a ShapeDomainError names the first bad rho."""
+    if getattr(rho, "ndim", 0):
+        return Frame(*np.array([_graph_frame(shape, r) for r in np.asarray(rho, float).tolist()]).T)
     jet = eval_jet3(shape, rho)
     s1, s2, s3 = jet.d1, jet.d2, jet.d3
     z = math.sqrt(1.0 + s1 * s1)

@@ -60,7 +60,6 @@ import numpy as np
 
 from .geometry import curvature_potential, rescaling_factor
 from .shapes import ShapeExpr, eval_jet2
-from .jets import Jet3
 
 FORMULATIONS = ("laplacian", "hermitian")
 ORDERINGS = ("left", "sandwich")
@@ -72,7 +71,7 @@ class BoundaryCompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class MomentumOp:
-    """First-order operator P = -i (d/dw + drift(w)) along one coordinate."""
+    """First-order operator P = -i (d/dw + drift(w)); drift takes a float or a 1-D array of w."""
 
     label: str
     drift: Callable
@@ -85,6 +84,7 @@ class OperatorCoeffs:
     v0 is the zero-order term of the same operator in half-density form,
     W^(1/2) H W^(-1/2) = c2 d^2/dw^2 + (c1 - 2 c2 gamma) d/dw + v0 on the
     flat measure dw, which is (c2 v')' + v0 v for the self-adjoint operators.
+    Each callable takes a float or a 1-D array of w.
     """
 
     c2: Callable
@@ -178,7 +178,8 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     def kinetic(fr):
         """b = 1/a1^2, the slope b' that enters the operator, and gamma."""
         a1 = fr.a1
-        db = 0.0 if left else -2.0 * fr.d_a1 / a1**3
+        # products, not powers, here and in centrifugal: numpy's array pow rounds unlike the scalar one
+        db = 0.0 if left else -2.0 * fr.d_a1 / (a1 * a1 * a1)
         return 1.0 / (a1 * a1), db, _gamma(fr)
 
     def liouville(fr):
@@ -187,7 +188,8 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         return 0.5 * (db * g + b * _dgamma(fr) + b * g * g)
 
     def centrifugal(fr):
-        return 0.5 * (nu / fr.a2) ** 2
+        r = nu / fr.a2
+        return 0.5 * (r * r)
 
     def c2(w):
         a1 = patch.frame(w).a1
@@ -236,41 +238,38 @@ def _gauss_legendre(n_points):
     return nodes, weights
 
 
-def _value_and_slope(fn, w):
-    if isinstance(fn, ShapeExpr):
-        jet = eval_jet2(fn, w)
-        return jet.value, jet.d1
-    jet = fn(Jet3.variable(w))
-    if isinstance(jet, Jet3):
-        return jet.value, jet.d1
-    raise TypeError("test function must be a ShapeExpr or accept a Jet3 argument")
+def _values_and_slopes(fn, ws):
+    """Values and first derivatives of the ShapeExpr fn at each w, one jet walk per point."""
+    if not isinstance(fn, ShapeExpr):
+        raise TypeError(f"test function must be a ShapeExpr, got {type(fn).__name__}")
+    jets = [eval_jet2(fn, w) for w in ws]
+    return np.array([jet.value for jet in jets]), np.array([jet.d1 for jet in jets])
 
 
 def hermiticity_residual(op, patch, f, g, n_points=512):
     """|<f, Pg> - <Pf, g>| under the surface measure a1 a2 dw at q = 0.
 
-    f and g are real test functions given either as ShapeExpr (the grammar
-    variable plays the role of w) or as callables that accept a Jet3 (so
-    their derivative comes out exactly).  On periodic patches the inner
-    product uses the periodic trapezoid rule; on open patches,
-    Gauss-Legendre nodes, and f, g must vanish at both endpoints.
+    f and g are real test functions given as ShapeExpr (the grammar variable
+    plays the role of w); the measure and the drift are each read in one
+    call on the whole grid.  On periodic patches the inner product uses the
+    periodic trapezoid rule; on open patches, Gauss-Legendre nodes, and f, g
+    must vanish at both endpoints.
 
     For an azimuthal momentum (op.label "phi") the integral runs over one
     period of phi; the measure is phi-independent and drops out.
     """
     if op.label == "phi":
         theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-        wq = np.full(n_points, 2.0 * math.pi / n_points)
-        measure = np.ones(n_points)
+        wq = 2.0 * math.pi / n_points
+        measure = 1.0
     elif op.label == patch.label:
         lo, hi = patch.domain
         if patch.boundary == "periodic":
             theta = np.linspace(lo, hi, n_points, endpoint=False)
-            wq = np.full(n_points, (hi - lo) / n_points)
+            wq = (hi - lo) / n_points
         else:
             for name, fn in (("f", f), ("g", g)):
-                for end in (lo, hi):
-                    val = _value_and_slope(fn, end)[0]
+                for end, val in zip((lo, hi), _values_and_slopes(fn, (lo, hi))[0]):
                     if abs(val) > 1e-9:
                         raise BoundaryCompatibilityError(
                             f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
@@ -278,15 +277,12 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
             nodes, gw = _gauss_legendre(n_points)
             theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             wq = 0.5 * (hi - lo) * gw
-        measure = np.array([fr.a1 * fr.a2 for fr in map(patch.frame, theta)])
+        fr = patch.frame(theta)
+        measure = fr.a1 * fr.a2
     else:
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
 
-    total = 0.0
-    for t, wgt, mes in zip(theta, wq, measure):
-        fv, fs = _value_and_slope(f, t)
-        gv, gs = _value_and_slope(g, t)
-        drift = op.drift(t)
-        # <f,Pg> - <Pf,g> = -i * integral of [(fg)' + 2*drift*fg] * measure
-        total += (fv * gs + fs * gv + 2.0 * drift * fv * gv) * mes * wgt
-    return abs(total)
+    fv, fs = _values_and_slopes(f, theta)
+    gv, gs = _values_and_slopes(g, theta)
+    # <f,Pg> - <Pf,g> = -i * integral of [(fg)' + 2*drift*fg] * measure
+    return abs(np.sum((fv * gs + fs * gv + 2.0 * op.drift(theta) * fv * gv) * measure * wq))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from curvedq.shapes import eval_jet2
 from curvedq.torus import fourier_block
 
 
@@ -148,3 +149,31 @@ def half_density_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
     h = (dphi * wq) @ dphi.T + (phi * (q(theta) * wq)) @ phi.T
     s = (phi * wq) @ phi.T
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
+
+
+def per_node_hermiticity_residual(op, patch, f, g, n_points=512):
+    """|<f, Pg> - <Pf, g>| as operators.hermiticity_residual defines it, summed
+    one node at a time from scalar frames, scalar drifts and a running total.
+
+    The oracle of the grid evaluation; f, g are ShapeExpr and are not
+    checked against the boundary.
+    """
+    if op.label == "phi":
+        nodes = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+        weights = np.full(n_points, 2.0 * math.pi / n_points)
+        measure = np.ones(n_points)
+    else:
+        lo, hi = patch.domain
+        if patch.boundary == "periodic":
+            nodes = np.linspace(lo, hi, n_points, endpoint=False)
+            weights = np.full(n_points, (hi - lo) / n_points)
+        else:
+            x, gw = np.polynomial.legendre.leggauss(n_points)
+            nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+            weights = 0.5 * (hi - lo) * gw
+        measure = np.array([fr.a1 * fr.a2 for fr in map(patch.frame, nodes.tolist())])
+    total = 0.0
+    for t, wgt, mes in zip(nodes.tolist(), weights, measure):
+        fj, gj = eval_jet2(f, t), eval_jet2(g, t)
+        total += (fj.value * gj.d1 + fj.d1 * gj.value + 2.0 * op.drift(t) * fj.value * gj.value) * mes * wgt
+    return abs(total)

@@ -236,6 +236,36 @@ def test_usage_errors_exit_2(capsys):
     assert _run(capsys, ["check", "--digits", "3"])[0] == 2
 
 
+def test_numbers_past_the_float_range_are_usage_errors(capsys):
+    for argv in (
+        ["compare", "--alpha", "1e400"],
+        ["curvature", "--torus", "3", "1", "--wmin", "0", "--wmax", "1e400"],
+        ["spectrum", "--alpha=-1e400"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "not a finite number or fraction: '" in err and "Traceback" not in err, argv
+
+
+def test_nquad_default_follows_nmax(tmp_path, capsys):
+    def n_quad(argv):
+        code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--states", "1"] + argv)
+        assert code == 0, argv
+        return json.loads(out)["n_quad"]
+
+    assert n_quad([]) == 128
+    assert n_quad(["--nmax", "30"]) == 128
+    assert n_quad(["--nmax", "48"]) == 200
+    assert n_quad(["--nmax", "48", "--nquad", "256"]) == 256
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nmax": 40}), encoding="utf-8")
+    assert n_quad(["--config", str(cfg)]) == 168
+    assert _run(capsys, ["compare", "--alpha", "1/2", "--nmax", "40"])[0] == 0
+    code, out, err = _run(capsys, ["spectrum", "--alpha", "0.5", "--nmax", "48", "--nquad", "128"])
+    assert (code, out) == (1, "")
+    assert "n_quad must be >= 4*n_max + 8 = 200" in err
+
+
 def test_help_exits_zero(capsys):
     assert _run(capsys, ["--help"])[0] == 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,17 @@ from curvedq.operators import (
     rescaling_potential,
     surface_operator,
 )
-from curvedq.shapes import parse_shape
+from curvedq.cli import selfadjointness_defect
+from curvedq.shapes import ShapeDomainError, parse_shape
 
-from _helpers import poly_derivative, poly_eval, poly_source, random_shape_source, random_smooth_source
+from _helpers import (
+    per_node_hermiticity_residual,
+    poly_derivative,
+    poly_eval,
+    poly_source,
+    random_shape_source,
+    random_smooth_source,
+)
 
 
 def _fd(fn, w, h=1e-5):
@@ -311,12 +320,90 @@ def test_open_boundary_compatibility():
         hermiticity_residual(p_rho, patch, parse_shape("1"), vanishing)
 
 
-def test_jet_callable_test_functions():
+def _array_patches():
+    """(patch, grid) pairs; the sqrt cap's grid starts on the axis rho = 0."""
+    return (
+        (graph_metric_patch(parse_shape("0.3*rho^3-0.8*rho^2+0.5*rho+1.2"), (0.2, 1.8)), np.linspace(0.2, 1.8, 37)),
+        (graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9)), np.linspace(0.0, 1.9, 41)),
+        (torus_metric_patch(3.0, 1.0), np.linspace(0.0, 2.0 * math.pi, 33)),
+        (torus_metric_patch(1.0 / 0.9, 1.0), np.linspace(0.0, 2.0 * math.pi, 33)),
+    )
+
+
+def _assert_stacks(fn, ws, label):
+    """fn(ws) equals, bit for bit, the scalar calls fn(w) stacked in order;
+    a field that does not depend on w may come back as one float."""
+    got = np.ascontiguousarray(np.broadcast_to(np.asarray(fn(ws), dtype=float), ws.shape))
+    want = np.array([fn(w) for w in ws.tolist()], dtype=float)
+    assert got.tobytes() == want.tobytes(), label
+
+
+def test_frames_coefficients_and_drifts_accept_arrays_bit_for_bit():
+    for patch, grid in _array_patches():
+        for field in range(len(patch.frame(grid[0]))):
+            _assert_stacks(lambda w: patch.frame(w)[field], grid, (patch.label, field))
+        if patch.label == "rho":
+            assert all(type(value) is float for value in patch.frame(float(grid[1])))
+        inner = grid[grid > 0.0]  # the operators are singular on the axis
+        for op in hermitian_momenta(patch):
+            _assert_stacks(op.drift, inner, (patch.label, op.label))
+        for formulation in FORMULATIONS:
+            for ordering in ORDERINGS:
+                coeffs = surface_operator(patch, formulation, 2, ordering)
+                for field in dataclasses.fields(coeffs):
+                    _assert_stacks(getattr(coeffs, field.name), inner, (formulation, ordering, field.name))
+
+
+def test_array_frame_names_the_first_offending_rho():
+    patch = graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9))
+    with pytest.raises(ShapeDomainError) as info:
+        patch.frame(np.array([0.5, 1.9, 2.5, 3.0]))
+    assert info.value.rho == 2.5
+    assert "sqrt" in str(info.value)
+
+
+def test_hermiticity_residual_matches_the_per_node_sum():
+    torus = torus_metric_patch(3.0, 1.0)
+    p_theta, p_phi, _ = hermitian_momenta(torus)
+    trig_f, trig_g = parse_shape("sin(rho)+0.5*cos(3*rho)+0.5"), parse_shape("cos(2*rho)-0.3*sin(rho)")
+    graph = graph_metric_patch(parse_shape("0.3*rho^3-0.8*rho^2+0.5*rho+1.2"), (0.5, 1.5))
+    p_rho, _, _ = hermitian_momenta(graph)
+    bump_f, bump_g = parse_shape("(rho-0.5)*(1.5-rho)"), parse_shape("(rho-0.5)*(1.5-rho)*exp(rho)")
+    cases = (
+        (p_theta, torus, trig_f, trig_g),
+        (p_phi, torus, trig_f, trig_g),
+        (MomentumOp("theta", lambda w: 0.0), torus, parse_shape("1"), parse_shape("sin(rho)")),
+        (p_rho, graph, bump_f, bump_g),
+        (MomentumOp("rho", lambda w: 0.0), graph, bump_f, bump_g),
+    )
+    for op, patch, f, g in cases:
+        want = per_node_hermiticity_residual(op, patch, f, g)
+        assert abs(hermiticity_residual(op, patch, f, g) - want) <= 1e-13, (op.label, patch.label, want)
+
+
+def test_grid_checks_read_each_field_once_per_grid():
+    calls = []
+
+    def counted(patch):
+        def frame(w):
+            calls.append(np.ndim(w))
+            return patch.frame(w)
+
+        return dataclasses.replace(patch, frame=frame)
+
+    torus = counted(torus_metric_patch(3.0, 1.0))
+    hermiticity_residual(hermitian_momenta(torus)[0], torus, parse_shape("sin(rho)"), parse_shape("cos(rho)"))
+    assert calls == [1, 1]  # the measure and the drift
+    calls.clear()
+    graph = counted(graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.2, 1.8)))
+    selfadjointness_defect(graph, surface_operator(graph, "hermitian", 0), np.linspace(0.3, 1.7, 29))
+    assert calls == [1, 1, 1]  # the slope of c2 weight, c1 and weight
+
+
+def test_hermiticity_residual_refuses_callable_test_functions():
     patch = torus_metric_patch(3.0, 1.0)
-    p_theta, _, _ = hermitian_momenta(patch)
-    f = lambda x: (x * 2.0).sin() + 1.0
-    g = lambda x: x.cos()
-    assert hermiticity_residual(p_theta, patch, f, g) <= 1e-10
+    with pytest.raises(TypeError, match="ShapeExpr"):
+        hermiticity_residual(hermitian_momenta(patch)[0], patch, lambda x: x.sin(), parse_shape("1"))
 
 
 def test_cancellation_on_random_graph_shapes():
