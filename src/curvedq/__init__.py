@@ -49,7 +49,6 @@ from .torus import (
     JacobiConvergenceError,
     SpectrumEntry,
     SpectrumResult,
-    TableState,
     TorusProblem,
     assemble,
     jacobi_eigh,
@@ -96,7 +95,6 @@ __all__ = [
     "JacobiConvergenceError",
     "SpectrumEntry",
     "SpectrumResult",
-    "TableState",
     "TorusProblem",
     "assemble",
     "jacobi_eigh",

@@ -275,8 +275,9 @@ def _cmd_check(ns):
 
 # -- argument plumbing ----------------------------------------------------------
 
-# least value of each integer setting, from a flag or from --config
-_LEAST = {"digits": 0, "points": 1, "states": 1, "nmax": 1, "nquad": 1, "samples": 1, "seed": 0}
+# least value of each integer setting, from a flag or from --config; the library
+# checks --nu, --nmax and --nquad
+_LEAST = {"digits": 0, "points": 1, "states": 1, "samples": 1, "seed": 0}
 
 
 def _integer_error(name, value):
@@ -334,7 +335,7 @@ def build_parser():
         "for a particle confined to a surface of revolution.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    n_max, n_quad = torus.TorusProblem.n_max, torus.TorusProblem.n_quad
+    n_max, nquad_help = torus.TorusProblem.n_max, f"default max({torus.N_QUAD_FLOOR}, 4*nmax + 8)"
 
     cur = subs.add_parser("curvature", help="curvature and V_C samples on a grid (CSV)")
     src = cur.add_mutually_exclusive_group()
@@ -352,7 +353,7 @@ def build_parser():
     spec.add_argument("--nu", type=int, default=0)
     spec.add_argument("--formulation", choices=torus.FORMULATIONS, default=torus.FORMULATIONS[0])
     spec.add_argument("--nmax", type=int, default=n_max)
-    spec.add_argument("--nquad", type=int, default=None, help=f"default max({n_quad}, 4*nmax + 8)")
+    spec.add_argument("--nquad", type=int, default=None, help=nquad_help)
     spec.add_argument("--states", type=int, default=8)
     _add_common(spec, ("json", "csv"))
 
@@ -361,7 +362,7 @@ def build_parser():
         "--alpha", type=_fraction_text, required=True, help="aspect ratio a/R, fraction or decimal"
     )
     cmp_.add_argument("--nmax", type=int, default=n_max)
-    cmp_.add_argument("--nquad", type=int, default=None, help=f"default max({n_quad}, 4*nmax + 8)")
+    cmp_.add_argument("--nquad", type=int, default=None, help=nquad_help)
     _add_common(cmp_, ("table", "csv"))
 
     mag = subs.add_parser("magic", help="aspect ratios cancelling the azimuthal term")
@@ -400,8 +401,6 @@ def run(argv=None):
             sub = parser._subparsers._group_actions[0].choices[ns.command]
             sub.set_defaults(**_config_settings(sub, ns.config))
             ns = parser.parse_args(argv)
-        if getattr(ns, "nquad", 0) is None:  # the default follows --nmax
-            ns.nquad = max(torus.TorusProblem.n_quad, 4 * ns.nmax + 8)
         for name, least in _LEAST.items():
             value = getattr(ns, name, least)
             if value < least:

@@ -141,15 +141,21 @@ def cancellation_residual(h, k, q=0.0):
     return abs(rescaling_potential(h, k, q) + normal_momentum_sq_coeffs(h, k, q)[2])
 
 
-def integer_nu(nu):
-    """The azimuthal number `nu` as an int; 2.0 is accepted, 1.7 and True are refused."""
+def integer(name, value):
+    """The setting `name` as an int; 2.0 is accepted, 1.7 and True are refused."""
     try:
-        value = int(nu)
+        result = int(value)
     except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != nu or isinstance(nu, bool):
-        raise ValueError(f"nu must be an integer, got {nu!r}")
-    return value
+        result = None
+    if result is None or result != value or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return result
+
+
+def check_formulation(formulation):
+    """Refuse a formulation outside FORMULATIONS."""
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
 
 
 def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
@@ -168,11 +174,10 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
 
     `ordering` is ignored for the laplacian formulation.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    check_formulation(formulation)
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    nu = abs(integer_nu(nu))
+    nu = abs(integer("nu", nu))
     left = formulation == "hermitian" and ordering == "left"
 
     def kinetic(fr):

@@ -43,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, integer_nu, surface_operator
+from .operators import FORMULATIONS, check_formulation, integer, surface_operator
 
 PARITIES = ("even", "odd")
+N_QUAD_FLOOR = 128
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -56,35 +57,47 @@ class JacobiConvergenceError(RuntimeError):
 class TorusProblem:
     """One eigenproblem configuration.
 
-    nu must be integral (2.0 is accepted, 1.7 and True refused) and is reduced to
-    |nu| (the spectrum depends on nu only through nu^2; states carry
-    e^(+-i nu phi)).  n_quad must stay comfortably above the basis
-    bandwidth so the trapezoid rule is spectrally converged.
+    nu, n_max and n_quad must be integral (2.0 is accepted, 1.7 and True
+    refused).  nu is reduced to |nu| (the spectrum depends on nu only
+    through nu^2; states carry e^(+-i nu phi)).  n_quad must stay
+    comfortably above the basis bandwidth so the trapezoid rule is
+    spectrally converged: at least 4*n_max + 8, and by default the larger
+    of that and N_QUAD_FLOOR.
     """
 
     alpha: float
     nu: int
     formulation: str
     n_max: int = 24
-    n_quad: int = 128
+    n_quad: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.formulation not in FORMULATIONS:
-            raise ValueError(f"formulation must be one of {FORMULATIONS}, got {self.formulation!r}")
-        object.__setattr__(self, "nu", abs(integer_nu(self.nu)))
-        if self.n_max < 2:
+        check_formulation(self.formulation)
+        object.__setattr__(self, "nu", abs(integer("nu", self.nu)))
+        n_max = integer("n_max", self.n_max)
+        if n_max < 2:
             raise ValueError("n_max must be at least 2")
-        if self.n_quad < 4 * self.n_max + 8:
-            raise ValueError(f"n_quad must be >= 4*n_max + 8 = {4 * self.n_max + 8}, got {self.n_quad}")
+        least = 4 * n_max + 8
+        n_quad = max(N_QUAD_FLOOR, least) if self.n_quad is None else integer("n_quad", self.n_quad)
+        if n_quad < least:
+            raise ValueError(f"n_quad must be >= 4*n_max + 8 = {least}, got {n_quad}")
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "n_quad", n_quad)
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     beta: float
+    nu: int
     parity: str
     coeffs: np.ndarray  # over {1, cos, cos 2, ...} (even) or {sin, sin 2, ...} (odd)
+
+    @property
+    def basis(self):
+        """The functions the coefficients expand over: "cos" (even) or "sin" (odd)."""
+        return "cos" if self.parity == "even" else "sin"
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,9 @@ def solve_spectrum(problem):
     Each half-density block is scaled by diag(S)^(-1/2) and diagonalized
     by LAPACK `eigh`; the states are mapped back to psi coefficients,
     orthonormalized under int |psi|^2 u dtheta and signed as in the module
-    docstring.  Entries are sorted by ascending beta.
+    docstring.  Entries are sorted by ascending beta; the two states of an
+    exactly degenerate pair (the hermitian nu = 0 ladder) come in rounding
+    order, and only `table_states` lists such a pair odd first.
     """
     entries = []
     for parity in PARITIES:
@@ -244,7 +259,7 @@ def solve_spectrum(problem):
         for beta, c in zip(vals, coeffs.T):
             if c[np.argmax(np.abs(c))] < 0.0:
                 c = -c
-            entries.append(SpectrumEntry(beta=float(beta), parity=parity, coeffs=c))
+            entries.append(SpectrumEntry(beta=float(beta), nu=problem.nu, parity=parity, coeffs=c))
     entries.sort(key=lambda e: e.beta)
     return SpectrumResult(problem=problem, entries=tuple(entries))
 
@@ -255,29 +270,17 @@ def magic_alpha(nu, formulation):
     laplacian: alpha = 1/(2 nu);  hermitian: alpha = 1/sqrt(1 + 4 nu^2).
     Requires nu >= 1 (nu = 0 has no azimuthal term to cancel).
     """
-    nu = integer_nu(nu)
+    nu = integer("nu", nu)
     if nu < 1:
         raise ValueError("magic aspect ratio needs nu >= 1")
+    check_formulation(formulation)
     if formulation == "laplacian":
         return 1.0 / (2.0 * nu)
-    if formulation == "hermitian":
-        return 1.0 / math.sqrt(1.0 + 4.0 * nu * nu)
-    raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    return 1.0 / math.sqrt(1.0 + 4.0 * nu * nu)
 
 
-@dataclass(frozen=True)
-class TableState:
-    beta: float
-    nu: int
-    parity: str
-    coeffs: np.ndarray
-    basis: str  # "cos" | "sin"
-
-
-def table_states(
-    alpha, formulation, nus=(0, 1, 2), count=3, n_max=TorusProblem.n_max, n_quad=TorusProblem.n_quad
-):
-    """The `count` lowest states merged across azimuthal numbers.
+def table_states(alpha, formulation, n_max=TorusProblem.n_max, n_quad=None):
+    """The three lowest states merged across nu = 0, 1 and 2, as SpectrumEntry.
 
     Numerically degenerate neighbors (beta equal after rounding to 1e-8,
     e.g. the exactly degenerate even/odd pairs of the hermitian nu = 0
@@ -286,17 +289,8 @@ def table_states(
     resolution, so within-pair order is a convention.
     """
     states = []
-    for nu in nus:
-        result = solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad))
-        for entry in result.entries[: count + 1]:
-            states.append(
-                TableState(
-                    beta=entry.beta,
-                    nu=nu,
-                    parity=entry.parity,
-                    coeffs=entry.coeffs,
-                    basis="cos" if entry.parity == "even" else "sin",
-                )
-            )
+    for nu in (0, 1, 2):
+        # one state past the three listed, so a degenerate pair at the cut is ordered whole
+        states += solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad)).entries[:4]
     states.sort(key=lambda st: (round(st.beta, 8), 0 if st.parity == "odd" else 1, st.nu))
-    return states[:count]
+    return states[:3]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from curvedq.cli import build_parser, emit, run
+from curvedq.torus import TorusProblem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -264,6 +265,13 @@ def test_nquad_default_follows_nmax(tmp_path, capsys):
     code, out, err = _run(capsys, ["spectrum", "--alpha", "0.5", "--nmax", "48", "--nquad", "128"])
     assert (code, out) == (1, "")
     assert "n_quad must be >= 4*n_max + 8 = 200" in err
+
+
+def test_library_n_quad_default_matches_cli(capsys):
+    for n_max, expected in ((24, 128), (30, 128), (48, 200)):
+        code, out, _ = _run(capsys, ["spectrum", "--alpha", "0.5", "--states", "1", "--nmax", str(n_max)])
+        assert code == 0
+        assert TorusProblem(0.5, 0, "laplacian", n_max=n_max).n_quad == json.loads(out)["n_quad"] == expected
 
 
 def test_help_exits_zero(capsys):

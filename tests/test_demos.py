@@ -24,3 +24,16 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_demo_04_output_pinned():
+    # demo 04 prints table_states rows to 4 decimals; demos 03 and 05 print
+    # rounding-level residuals and are not pinned
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "04_torus_spectra.py")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "demo_04_torus_spectra.txt").read_bytes()

@@ -56,6 +56,16 @@ def test_problem_rejects_non_integer_nu():
     assert TorusProblem(0.5, np.int64(-1), "hermitian").nu == 1
 
 
+def test_problem_rejects_fractional_sizes():
+    # 130.5 trapezoid nodes would weigh 2 pi/130.5 each and miss 2 pi in sum
+    for kwargs in ({"n_quad": 130.5}, {"n_max": 24.5}, {"n_max": True}, {"n_quad": "128"}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TorusProblem(0.5, 0, "laplacian", **kwargs)
+    problem = TorusProblem(0.5, 0, "laplacian", 24.0, 130.0)
+    assert (problem.n_max, problem.n_quad) == (24, 130) and type(problem.n_max) is int
+    assert len(solve_spectrum(problem).entries) == 49
+
+
 def test_weight_function():
     # u = alpha a1 a2 on the torus patch of unit minor radius
     op = _torus_coeffs(0.25, 0, "laplacian")
@@ -409,7 +419,7 @@ def test_parity_blocks_match_full_basis_solve(config):
     # independent route: the hand-reduced half-density potential in one
     # combined cos+sin basis, solved by scipy's generalized eigensolver
     alpha, nu, form, n_max = config
-    n_quad = TorusProblem.n_quad
+    n_quad = TorusProblem(*config).n_quad
     q = half_density_potential(alpha, nu, form)
     theta = np.arange(n_quad) * 2.0 * math.pi / n_quad
     wq = 2.0 * math.pi / n_quad
