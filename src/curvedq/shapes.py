@@ -16,14 +16,24 @@ shared freely across threads.  Derivatives come from dual-number
 propagation (jets), never from finite differences: the principal
 curvatures of a graph divide S_rho and S_rhorho by rho and Z^3, and
 differencing noise would pollute them.
+
+Each ShapeExpr compiles once, when it is built, into a kernel: nested
+closures over jet 4-tuples that call the derivative rules of jets.py
+directly.  Literals and pi are captured as constant tuples, and a subtree
+free of rho is folded to its jet.  Evaluating a shape runs the kernel, so
+no evaluation dispatches on node types or allocates per node beyond the
+tuples the rules return.  Only '/', '^' and function calls can leave their
+domain; each of those nodes reports the failure as a ShapeDomainError
+naming itself and the rho it was evaluated at.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .jets import Jet3
+from . import jets
+from .jets import FUNCTIONS, Jet3
 
-FUNCTION_NAMES = ("cos", "cosh", "exp", "ln", "sin", "sinh", "sqrt", "tan", "tanh")
+FUNCTION_NAMES = tuple(FUNCTIONS)
 
 
 class ShapeError(ValueError):
@@ -97,9 +107,21 @@ class Call:
 
 @dataclass(frozen=True)
 class ShapeExpr:
-    """Immutable parsed shape function S(rho)."""
+    """Immutable parsed shape function S(rho), compiled once into its kernel.
+
+    The kernel maps the variable jet (rho, 1, 0, 0) to the jet of S; it is
+    derived from root, so equality, hashing and repr see root alone.
+    """
 
     root: object
+    kernel: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        jet = _compile(self.root)
+        object.__setattr__(self, "kernel", jet if callable(jet) else _constant(jet))
+
+    def __reduce__(self):
+        return ShapeExpr, (self.root,)
 
     def __str__(self):
         return format_expr(self)
@@ -139,6 +161,8 @@ def _tokenize(src):
                 value = float(text)
             except ValueError:
                 raise ShapeSyntaxError(i, ("a number",), text) from None
+            if not math.isfinite(value):  # overflowed to inf: no canonical form
+                raise ShapeSyntaxError(i, ("a finite number",), text)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -299,46 +323,85 @@ def format_expr(expr):
     return _fmt(expr.root, _LEVEL_ADD)
 
 
-# -- evaluation ---------------------------------------------------------------
+# -- compilation and evaluation -----------------------------------------------
 
-def _eval(node, x, rho):
-    cls = type(x)
-    if isinstance(node, Num):
-        return cls.constant(node.value)
-    if isinstance(node, Const):
-        return cls.constant(math.pi)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x, rho)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, x, rho)
-        right = _eval(node.right, x, rho)
+_BINARY_RULES = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div, "^": jets.power}
+_GUARDED_OPS = "/^"  # with function calls, the only rules that can leave their domain
+_DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _variable(x):
+    return x
+
+
+def _constant(jet):
+    return lambda x: jet
+
+
+def _kernel(rule, a, b=None):
+    """Kernel applying rule to one or two compiled arguments, at most one constant."""
+    if b is None:
+        return lambda x: rule(a(x))
+    if not callable(a):
+        return lambda x: rule(a, b(x))
+    if not callable(b):
+        return lambda x: rule(a(x), b)
+    return lambda x: rule(a(x), b(x))
+
+
+def _guard(kernel, node):
+    """Report a failure of node's own rule as a ShapeDomainError at x's rho.
+
+    A subexpression's failure arrives already reported and passes through.
+    """
+    def guarded(x):
         try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return left**right
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ShapeDomainError(str(exc), _fmt(node, _LEVEL_ADD), rho) from None
-    # function application
-    arg = _eval(node.arg, x, rho)
-    try:
-        return getattr(arg, node.func)()
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ShapeDomainError(str(exc), _fmt(node, _LEVEL_ADD), rho) from None
+            return kernel(x)
+        except ShapeDomainError:
+            raise
+        except _DOMAIN_ERRORS as exc:
+            raise ShapeDomainError(str(exc), _fmt(node, _LEVEL_ADD), x[0]) from None
+
+    return guarded
 
 
-def _check_finite(expr, jet, rho, fields):
-    for name in fields:
-        if not math.isfinite(getattr(jet, name)):
+def _apply(rule, node, args, guarded):
+    """Jet of rule over compiled args: folded now when no arg involves rho."""
+    if not any(map(callable, args)):
+        try:
+            return rule(*args)  # folded: the same rule on the same floats
+        except _DOMAIN_ERRORS:
+            args = [_constant(a) for a in args]  # fails at each evaluation, with its rho
+    kernel = _kernel(rule, *args)
+    return _guard(kernel, node) if guarded else kernel
+
+
+def _compile(node):
+    """Jet of node: a constant 4-tuple when node does not involve rho, else a
+    kernel, a function of the variable jet x = (rho, 1.0, 0.0, 0.0).
+
+    Children are compiled, and so evaluated, left to right, so the first
+    failing subexpression is the one a walk of the tree would meet first.
+    """
+    if isinstance(node, Num):
+        return (node.value, 0.0, 0.0, 0.0)
+    if isinstance(node, Const):
+        return (math.pi, 0.0, 0.0, 0.0)
+    if isinstance(node, Var):
+        return _variable
+    if isinstance(node, Neg):
+        return _apply(jets.neg, node, [_compile(node.arg)], guarded=False)
+    if isinstance(node, BinOp):
+        args = [_compile(node.left), _compile(node.right)]
+        return _apply(_BINARY_RULES[node.op], node, args, guarded=node.op in _GUARDED_OPS)
+    return _apply(FUNCTIONS[node.func], node, [_compile(node.arg)], guarded=True)
+
+
+def _check_finite(expr, jet, rho, count):
+    for component in jet[:count]:
+        if not math.isfinite(component):
             raise ShapeDomainError("non-finite result", format_expr(expr), rho)
-    return jet
+    return Jet3._make(jet)
 
 
 def eval_jet2(expr, rho):
@@ -349,12 +412,10 @@ def eval_jet2(expr, rho):
     so that wrappers installed by name (bench/spans.py) count the two apart.
     """
     rho = float(rho)
-    jet = _eval(expr.root, Jet3.variable(rho), rho)
-    return _check_finite(expr, jet, rho, ("value", "d1", "d2"))
+    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 3)
 
 
 def eval_jet3(expr, rho):
     """Evaluate (S, dS/drho, d2S/drho2, d3S/drho3) at rho, all checked finite."""
     rho = float(rho)
-    jet = _eval(expr.root, Jet3.variable(rho), rho)
-    return _check_finite(expr, jet, rho, ("value", "d1", "d2", "d3"))
+    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 4)

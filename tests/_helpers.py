@@ -1,10 +1,23 @@
 """Shared oracles and generators for the test suite."""
 
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from curvedq.shapes import eval_jet2
+from curvedq.shapes import (
+    FUNCTION_NAMES,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Num,
+    ShapeDomainError,
+    Var,
+    eval_jet2,
+    format_expr,
+)
 from curvedq.torus import fourier_block
 
 
@@ -52,6 +65,25 @@ def random_smooth_source(rng):
         b=float(rng.uniform(-1.5, 1.5)),
         c=float(rng.uniform(0.5, 2.0)),
     )
+
+
+def random_shape_tree(rng, depth):
+    """Syntax tree of the whole grammar, at most depth levels deep; rho is
+    two leaves in five, and literals are small integers or uniform floats."""
+    kind = int(rng.integers(0, 4)) if depth > 1 else 0
+    if kind == 1:
+        return Call(FUNCTION_NAMES[int(rng.integers(0, len(FUNCTION_NAMES)))], random_shape_tree(rng, depth - 1))
+    if kind == 2 and rng.random() < 0.3:
+        return Neg(random_shape_tree(rng, depth - 1))
+    if kind >= 2:
+        op = "+-*/^"[int(rng.integers(0, 5))]
+        return BinOp(op, random_shape_tree(rng, depth - 1), random_shape_tree(rng, depth - 1))
+    leaf = int(rng.integers(0, 5))
+    if leaf < 2:
+        return Var()
+    if leaf == 2:
+        return Const("pi")
+    return Num(float(rng.integers(-3, 4)) if leaf == 3 else float(rng.uniform(-3.0, 3.0)))
 
 
 def random_shape_source(rng, index):
@@ -177,3 +209,213 @@ def per_node_hermiticity_residual(op, patch, f, g, n_points=512):
         fj, gj = eval_jet2(f, t), eval_jet2(g, t)
         total += (fj.value * gj.d1 + fj.d1 * gj.value + 2.0 * op.drift(t) * fj.value * gj.value) * mes * wgt
     return abs(total)
+
+
+# -- tree-walk oracle of the compiled shape kernels ---------------------------
+#
+# The evaluator of shapes.py before shapes were compiled to kernels: it walks
+# the syntax tree at every evaluation, dispatching on node type, over a dual
+# number that carries its own copy of every derivative rule.  The kernels and
+# the rules of jets.py must reproduce it bit for bit, errors included.
+
+
+def _is_number(x):
+    return isinstance(x, (int, float))
+
+
+@dataclass(frozen=True, slots=True)
+class WalkJet:
+    """Dual number of the tree walk: every rule written out in its own method."""
+
+    value: float
+    d1: float = 0.0
+    d2: float = 0.0
+    d3: float = 0.0
+
+    @staticmethod
+    def variable(x):
+        return WalkJet(float(x), 1.0, 0.0, 0.0)
+
+    @staticmethod
+    def constant(c):
+        return WalkJet(float(c), 0.0, 0.0, 0.0)
+
+    def _lift(self, x):
+        if isinstance(x, WalkJet):
+            return x
+        if _is_number(x):
+            return WalkJet(float(x), 0.0, 0.0, 0.0)
+        return NotImplemented
+
+    def __neg__(self):
+        return WalkJet(-self.value, -self.d1, -self.d2, -self.d3)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return WalkJet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return WalkJet(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
+
+    def __rsub__(self, other):
+        return self._lift(other).__sub__(self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return WalkJet(
+            self.value * o.value,
+            self.d1 * o.value + self.value * o.d1,
+            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
+            self.d3 * o.value + 3.0 * self.d2 * o.d1 + 3.0 * self.d1 * o.d2 + self.value * o.d3,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.value == 0.0:
+            raise ZeroDivisionError("division by zero")
+        q0 = self.value / o.value
+        q1 = (self.d1 - q0 * o.d1) / o.value
+        q2 = (self.d2 - 2.0 * q1 * o.d1 - q0 * o.d2) / o.value
+        q3 = (self.d3 - 3.0 * q2 * o.d1 - 3.0 * q1 * o.d2 - q0 * o.d3) / o.value
+        return WalkJet(q0, q1, q2, q3)
+
+    def __rtruediv__(self, other):
+        return self._lift(other).__truediv__(self)
+
+    def _pow_scalar(self, c):
+        f = self.value
+        if c == int(c) and abs(c) < 1e9:
+            n = int(c)
+            if f == 0.0 and n < 0:
+                raise ZeroDivisionError("zero raised to a negative power")
+            u0 = f**n
+            u1 = 0.0 if n == 0 else n * f ** (n - 1)
+            u2 = 0.0 if n in (0, 1) else n * (n - 1) * f ** (n - 2)
+            u3 = 0.0 if n in (0, 1, 2) else n * (n - 1) * (n - 2) * f ** (n - 3)
+            return self._chain(u0, u1, u2, u3)
+        if f <= 0.0:
+            raise ValueError("fractional power of a non-positive base")
+        u0 = f**c
+        u1 = c * f ** (c - 1.0)
+        u2 = c * (c - 1.0) * f ** (c - 2.0)
+        u3 = c * (c - 1.0) * (c - 2.0) * f ** (c - 3.0)
+        return self._chain(u0, u1, u2, u3)
+
+    def __pow__(self, other, modulo=None):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.d1 == 0.0 and o.d2 == 0.0 and o.d3 == 0.0:
+            return self._pow_scalar(o.value)
+        return (o * self.ln()).exp()
+
+    def __rpow__(self, other):
+        return self._lift(other).__pow__(self)
+
+    def _chain(self, u0, u1, u2, u3):
+        g1, g2, g3 = self.d1, self.d2, self.d3
+        return WalkJet(
+            u0,
+            u1 * g1,
+            u2 * g1 * g1 + u1 * g2,
+            u3 * g1 * g1 * g1 + 3.0 * u2 * g1 * g2 + u1 * g3,
+        )
+
+    def sin(self):
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._chain(s, c, -s, -c)
+
+    def cos(self):
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._chain(c, -s, -c, s)
+
+    def tan(self):
+        t = math.tan(self.value)
+        sec2 = 1.0 + t * t
+        return self._chain(t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
+
+    def exp(self):
+        e = math.exp(self.value)
+        return self._chain(e, e, e, e)
+
+    def ln(self):
+        v = self.value
+        if v <= 0.0:
+            raise ValueError("logarithm of a non-positive value")
+        iv = 1.0 / v
+        return self._chain(math.log(v), iv, -iv * iv, 2.0 * iv * iv * iv)
+
+    def sqrt(self):
+        r = math.sqrt(self.value)
+        if r == 0.0:
+            raise ZeroDivisionError("derivative of sqrt at zero")
+        v = self.value
+        return self._chain(r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+
+    def sinh(self):
+        s, c = math.sinh(self.value), math.cosh(self.value)
+        return self._chain(s, c, s, c)
+
+    def cosh(self):
+        s, c = math.sinh(self.value), math.cosh(self.value)
+        return self._chain(c, s, c, s)
+
+    def tanh(self):
+        t = math.tanh(self.value)
+        sech2 = 1.0 - t * t
+        return self._chain(t, sech2, -2.0 * t * sech2, sech2 * (6.0 * t * t - 2.0))
+
+
+def _walk(node, x, rho):
+    if isinstance(node, Num):
+        return WalkJet.constant(node.value)
+    if isinstance(node, Const):
+        return WalkJet.constant(math.pi)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_walk(node.arg, x, rho)
+    if isinstance(node, BinOp):
+        left = _walk(node.left, x, rho)
+        right = _walk(node.right, x, rho)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                return left / right
+            return left**right
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ShapeDomainError(str(exc), format_expr(SimpleNamespace(root=node)), rho) from None
+    arg = _walk(node.arg, x, rho)
+    try:
+        return getattr(arg, node.func)()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ShapeDomainError(str(exc), format_expr(SimpleNamespace(root=node)), rho) from None
+
+
+def tree_walk_jet(expr, rho, count=4):
+    """The jet eval_jet3 (count=4) or eval_jet2 (count=3) must return for expr
+    at rho, as a 4-tuple, or the ShapeDomainError it must raise."""
+    rho = float(rho)
+    jet = _walk(expr.root, WalkJet.variable(rho), rho)
+    out = (jet.value, jet.d1, jet.d2, jet.d3)
+    if not all(math.isfinite(c) for c in out[:count]):
+        raise ShapeDomainError("non-finite result", format_expr(expr), rho)
+    return out

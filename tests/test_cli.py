@@ -327,6 +327,23 @@ def test_curvature_focal_error_exit_1(capsys):
     assert "focal" in err
 
 
+def test_curvature_non_finite_literal_exit_1(capsys):
+    code, out, err = _run(capsys, ["curvature", "--shape=1e400+rho^2", "--wmin", "0.2", "--wmax", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: syntax error at offset 0: expected a finite number; found '1e400'\n"
+
+
+def test_curvature_golden_files(capsys):
+    for tag, shape, wmin, wmax in (
+        ("cubic", "0.1+0.2*rho+-0.3*rho^2+0.4*rho^3", "0.2", "1.8"),
+        ("hemisphere", "sqrt(4-rho^2)", "0", "1.9"),
+    ):
+        argv = ["curvature", f"--shape={shape}", "--wmin", wmin, "--wmax", wmax, "--points", "50"]
+        code, out, _ = _run(capsys, argv + ["--format", "csv", "--digits", "12"])
+        assert code == 0
+        assert out == (GOLDEN / f"curvature_{tag}.csv").read_text(encoding="utf-8")
+
+
 def test_compare_golden_files(capsys):
     for tag, alpha in (("1_3", "1/3"), ("1_2", "1/2"), ("2_3", "2/3")):
         code, out, _ = _run(capsys, ["compare", "--alpha", alpha])

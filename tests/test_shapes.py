@@ -1,12 +1,23 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedq.shapes import (
+    FUNCTION_NAMES,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Num,
     ShapeDomainError,
+    ShapeExpr,
     ShapeSyntaxError,
     UnknownIdentifierError,
+    Var,
     eval_jet2,
     eval_jet3,
     format_expr,
@@ -18,7 +29,9 @@ from _helpers import (
     poly_eval,
     poly_source,
     random_poly,
+    random_shape_tree,
     random_smooth_source,
+    tree_walk_jet,
 )
 
 
@@ -195,3 +208,80 @@ def test_number_formats():
     assert eval_jet2(parse_shape("1e3"), 0.0).value == 1000.0
     assert eval_jet2(parse_shape(".5"), 0.0).value == 0.5
     assert eval_jet2(parse_shape("2.5e-1"), 0.0).value == 0.25
+
+
+def test_non_finite_literal_is_a_syntax_error():
+    with pytest.raises(ShapeSyntaxError) as info:
+        parse_shape("1e400+rho^2")
+    assert info.value.offset == 0
+    assert info.value.expected == ("a finite number",)
+    assert info.value.found == "1e400"
+    with pytest.raises(ShapeSyntaxError) as info:
+        parse_shape("rho*2e999")
+    assert info.value.offset == 4
+    # underflow to zero is a finite literal
+    assert eval_jet2(parse_shape("1e-400+rho"), 2.0).value == 2.0
+
+
+def test_shape_expr_equality_hash_and_repr_ignore_the_kernel():
+    a, b = parse_shape("sin(rho)^2+1/rho"), parse_shape("sin( rho ) ^ 2 + 1 / rho")
+    assert a == b and hash(a) == hash(b)
+    assert a.kernel is not b.kernel
+    assert a != parse_shape("sin(rho)^2+1/rho+0")
+    assert repr(a) == f"ShapeExpr(root={a.root!r})"
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and eval_jet3(copy, 0.7) == eval_jet3(a, 0.7)
+
+
+_LITERALS = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.sampled_from((0.5, -0.5, 1.5, -2.5, 1.0 / 3.0)),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _shape_trees(depth):
+    """Syntax trees of the whole grammar, at most depth levels deep."""
+    # builds, not map: one_of would flatten a mapped one_of into its branches
+    # and draw rho for only one leaf in six
+    leaves = st.one_of(st.just(Var()), st.builds(Num, _LITERALS), st.just(Const("pi")))
+    trees = leaves
+    for _ in range(depth - 1):
+        sub = trees
+        trees = st.one_of(
+            leaves,
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(Call, st.sampled_from(FUNCTION_NAMES), sub),
+        )
+    return trees
+
+
+def _outcome(evaluate, *args):
+    try:
+        return tuple(float.hex(c) for c in evaluate(*args))
+    except ShapeDomainError as exc:
+        return ("ShapeDomainError", exc.reason, exc.subexpr, float.hex(exc.rho))
+
+
+def _assert_kernel_is_tree_walk(expr, rho):
+    assert _outcome(eval_jet3, expr, rho) == _outcome(tree_walk_jet, expr, rho, 4)
+    assert _outcome(eval_jet2, expr, rho) == _outcome(tree_walk_jet, expr, rho, 3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tree=_shape_trees(5), rho=st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-3.0, 3.0)))
+def test_compiled_kernel_matches_tree_walk_bit_for_bit(tree, rho):
+    _assert_kernel_is_tree_walk(ShapeExpr(tree), rho)
+
+
+def test_compiled_kernel_matches_tree_walk_on_seeded_trees():
+    # hypothesis tends to repeat a subtree within one tree, and a product of
+    # two equal factors hides a reordered sum in the product rule; independent
+    # draws do not
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        expr = ShapeExpr(random_shape_tree(rng, 5))
+        for rho in rng.uniform(-3.0, 3.0, size=4).tolist():
+            _assert_kernel_is_tree_walk(expr, rho)
