@@ -106,10 +106,8 @@ def _cmd_curvature(ns):
         grid = np.linspace(wmin, wmax, ns.points)
 
     header = ["w", "Z", "k1", "k2", "h", "k", "V_C", "F"]
-    rows = []
-    for w in grid:
-        s = geometry.curvature_sample(patch, float(w), ns.q)
-        rows.append([s.w, s.z, s.k1, s.k2, s.h, s.k, s.vc, s.f])
+    s = geometry.curvature_sample(patch, grid, ns.q)
+    rows = np.column_stack([s.w, s.z, s.k1, s.k2, s.h, s.k, s.vc, s.f]).tolist()
     if ns.format == "json":
         payload = {
             "q": _round(ns.q, digits),

@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .shapes import eval_jet2, eval_jet3
+from .jets import each_pow
+from .shapes import ShapeDomainError, eval_jet2, eval_jet3
 
 
 class AxisSingularityError(ValueError):
@@ -113,22 +114,45 @@ def rescaling_factor(h, k, q):
     return 1.0 + 2.0 * q * h + q * q * k
 
 
+def _slope_fields(s1, s2, s3, sqrt, pw):
+    """Z, Z_rho, Z_rhorho and k1 = -S_rhorho/Z^3 of a graph from S's derivatives,
+    floats with math.sqrt and pow or arrays with their element-by-element forms."""
+    z = sqrt(1.0 + s1 * s1)
+    z3 = pw(z, 3)
+    d2z = (s2 * s2 + s1 * s3) / z - pw(s1 * s2, 2) / z3
+    return z, s1 * s2 / z, d2z, -s2 / z3
+
+
 def _graph_frame(shape, rho):
-    """Frame of the graph z = S(rho) at rho, from one third-order jet of S; an array of
-    rho stacks its points' frames in order, so a ShapeDomainError names the first bad rho."""
-    if getattr(rho, "ndim", 0):
-        return Frame(*np.array([_graph_frame(shape, r) for r in np.asarray(rho, float).tolist()]).T)
-    jet = eval_jet3(shape, rho)
-    s1, s2, s3 = jet.d1, jet.d2, jet.d3
-    z = math.sqrt(1.0 + s1 * s1)
-    dz = s1 * s2 / z
-    d2z = (s2 * s2 + s1 * s3) / z - (s1 * s2) ** 2 / z**3
-    k1 = -s2 / z**3
+    """Frame of the graph z = S(rho) at rho, from one third-order jet of S.
+
+    A 1-D array of rho reads one array jet and gives the scalar frames
+    stacked, bit for bit.  Where that fails, the points go one at a time, so
+    the error is the one the first bad rho raises alone.
+    """
+    if type(rho) is not float and getattr(rho, "ndim", 0):
+        return _graph_frames(shape, np.array(rho, dtype=float))
+    _, s1, s2, s3 = eval_jet3(shape, rho)
+    z, dz, d2z, k1 = _slope_fields(s1, s2, s3, math.sqrt, pow)
     if rho == 0.0:
         # axis limit with S_rho(0) = 0: S_rho/rho -> S_rhorho(0)
         k2 = -s2 / z
     else:
         k2 = -s1 / (rho * z)
+    return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
+
+
+def _graph_frames(shape, rho):
+    try:
+        _, s1, s2, s3 = eval_jet3(shape, rho)
+        with np.errstate(all="ignore"):
+            # numpy's sqrt is correctly rounded like math.sqrt; its pow is not like libm's
+            z, dz, d2z, k1 = _slope_fields(s1, s2, s3, np.sqrt, each_pow)
+            k2 = np.where(rho == 0.0, -s2 / z, -s1 / (rho * z))
+    except (ShapeDomainError, OverflowError):
+        for r in rho.tolist():
+            _graph_frame(shape, r)
+        raise
     return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
 
 
@@ -174,8 +198,18 @@ def curvature_sample(patch, w, q=0.0):
 
     Raises FocalSurfaceError when q reaches a focal distance (a shell
     factor 1 + q*k_i drops to zero or below); the metric factorization is
-    meaningless there.
+    meaningless there.  A 1-D array of w gives one CurvatureSample of
+    arrays, the scalar samples stacked, from one frame; where a point fails,
+    the points go one at a time, so the error is the first failing point's.
     """
+    if type(w) is not float and getattr(w, "ndim", 0):
+        w = np.array(w, dtype=float)
+        try:
+            return _curvature_table(patch, w, q)
+        except (ValueError, ArithmeticError):
+            for x in w.tolist():
+                curvature_sample(patch, x, q)
+            raise
     w = float(w)
     if patch.boundary == "open":
         lo, hi = patch.domain
@@ -202,3 +236,18 @@ def curvature_sample(patch, w, q=0.0):
         vc=curvature_potential(k1, k2),
         f=rescaling_factor(h, k, q),
     )
+
+
+def _curvature_table(patch, w, q):
+    """curvature_sample at each point of the array w; where one fails, an error that names no point."""
+    lo, hi = patch.domain
+    if patch.boundary == "open" and not np.all((lo <= w) & (w <= hi)):
+        raise ValueError("coordinate outside the patch domain")
+    fr = patch.frame(w)
+    z, k1, k2 = (np.array(np.broadcast_to(x, w.shape), dtype=float) for x in (fr.a1, fr.k1, fr.k2))
+    with np.errstate(all="ignore"):
+        if np.any((1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)):
+            raise FocalSurfaceError("offset q reaches the focal surface")
+        h = mean_curvature(k1, k2)
+        k = gaussian_curvature(k1, k2)
+        return CurvatureSample(w, z, k1, k2, h, k, curvature_potential(k1, k2), rescaling_factor(h, k, q))

@@ -244,11 +244,11 @@ def _gauss_legendre(n_points):
 
 
 def _values_and_slopes(fn, ws):
-    """Values and first derivatives of the ShapeExpr fn at each w, one jet walk per point."""
+    """Values and first derivatives of the ShapeExpr fn at the points ws, from one array jet."""
     if not isinstance(fn, ShapeExpr):
         raise TypeError(f"test function must be a ShapeExpr, got {type(fn).__name__}")
-    jets = [eval_jet2(fn, w) for w in ws]
-    return np.array([jet.value for jet in jets]), np.array([jet.d1 for jet in jets])
+    jet = eval_jet2(fn, np.asarray(ws, dtype=float))
+    return jet.value, jet.d1
 
 
 def hermiticity_residual(op, patch, f, g, n_points=512):

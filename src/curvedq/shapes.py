@@ -17,18 +17,29 @@ propagation (jets), never from finite differences: the principal
 curvatures of a graph divide S_rho and S_rhorho by rho and Z^3, and
 differencing noise would pollute them.
 
-Each ShapeExpr compiles once, when it is built, into a kernel: nested
+Each ShapeExpr compiles once, when it is built, into two kernels: nested
 closures over jet 4-tuples that call the derivative rules of jets.py
-directly.  Literals and pi are captured as constant tuples, and a subtree
-free of rho is folded to its jet.  Evaluating a shape runs the kernel, so
-no evaluation dispatches on node types or allocates per node beyond the
-tuples the rules return.  Only '/', '^' and function calls can leave their
-domain; each of those nodes reports the failure as a ShapeDomainError
-naming itself and the rho it was evaluated at.
+directly, one over the SCALAR rules for a float rho and one over the ARRAY
+rules for a 1-D array of rho.  Literals and pi are captured as constant
+tuples, and a subtree free of rho is folded to its jet by the scalar rules,
+so both kernels hold the same constants.  A '^' whose exponent folds to a
+constant c gets power's rule for c, with the integer test and the falling
+factorials c (c-1) ... decided at compile time.  Evaluating a shape runs a
+kernel, so no evaluation dispatches on node types or allocates per node
+beyond the tuples the rules return.
+
+Only '/', '^' and function calls can leave their domain; in the scalar
+kernel each of those nodes reports the failure as a ShapeDomainError naming
+itself and the rho it was evaluated at.  The array kernel reports nothing:
+where it raises, or leaves a non-finite component, the points are evaluated
+again one at a time by the scalar kernel, so an array of rho gets the same
+error as a loop over its points, for the first offending rho.
 """
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import jets
 from .jets import FUNCTIONS, Jet3
@@ -107,18 +118,21 @@ class Call:
 
 @dataclass(frozen=True)
 class ShapeExpr:
-    """Immutable parsed shape function S(rho), compiled once into its kernel.
+    """Immutable parsed shape function S(rho), compiled once into its two kernels.
 
-    The kernel maps the variable jet (rho, 1, 0, 0) to the jet of S; it is
+    The kernel maps the variable jet (rho, 1, 0, 0) of a float rho to the jet
+    of S, and array_kernel does the same for a 1-D array of rho.  Both are
     derived from root, so equality, hashing and repr see root alone.
     """
 
     root: object
     kernel: object = field(init=False, compare=False, repr=False)
+    array_kernel: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        jet = _compile(self.root)
-        object.__setattr__(self, "kernel", jet if callable(jet) else _constant(jet))
+        for name, rules, report in (("kernel", jets.SCALAR, _guard), ("array_kernel", jets.ARRAY, _unguarded)):
+            jet = _compile(self.root, rules, report)
+            object.__setattr__(self, name, jet if callable(jet) else _constant(jet))
 
     def __reduce__(self):
         return ShapeExpr, (self.root,)
@@ -325,8 +339,7 @@ def format_expr(expr):
 
 # -- compilation and evaluation -----------------------------------------------
 
-_BINARY_RULES = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div, "^": jets.power}
-_GUARDED_OPS = "/^"  # with function calls, the only rules that can leave their domain
+_TOTAL_RULES = ("neg", "+", "-", "*")  # the only rules that cannot leave their domain
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -365,23 +378,31 @@ def _guard(kernel, node):
     return guarded
 
 
-def _apply(rule, node, args, guarded):
-    """Jet of rule over compiled args: folded now when no arg involves rho."""
+def _unguarded(kernel, node):
+    return kernel
+
+
+def _apply(rules, report, key, node, args):
+    """Jet of the rule `key` over compiled args: folded now, by the scalar rule,
+    when no arg involves rho; else a kernel, which report wraps when the rule
+    can leave its domain."""
     if not any(map(callable, args)):
         try:
-            return rule(*args)  # folded: the same rule on the same floats
+            return jets.SCALAR.table[key](*args)  # folded: the same rule on the same floats
         except _DOMAIN_ERRORS:
             args = [_constant(a) for a in args]  # fails at each evaluation, with its rho
-    kernel = _kernel(rule, *args)
-    return _guard(kernel, node) if guarded else kernel
+    kernel = _kernel(rules.table[key], *args)
+    return kernel if key in _TOTAL_RULES else report(kernel, node)
 
 
-def _compile(node):
+def _compile(node, rules, report):
     """Jet of node: a constant 4-tuple when node does not involve rho, else a
-    kernel, a function of the variable jet x = (rho, 1.0, 0.0, 0.0).
+    kernel, a function of the variable jet x = (rho, 1.0, 0.0, 0.0), over the
+    rules of one carrier.
 
     Children are compiled, and so evaluated, left to right, so the first
-    failing subexpression is the one a walk of the tree would meet first.
+    failing subexpression is the one a walk of the tree would meet first.  A
+    '^' with an exponent free of rho gets power's rule for that exponent.
     """
     if isinstance(node, Num):
         return (node.value, 0.0, 0.0, 0.0)
@@ -390,11 +411,18 @@ def _compile(node):
     if isinstance(node, Var):
         return _variable
     if isinstance(node, Neg):
-        return _apply(jets.neg, node, [_compile(node.arg)], guarded=False)
+        return _apply(rules, report, "neg", node, [_compile(node.arg, rules, report)])
     if isinstance(node, BinOp):
-        args = [_compile(node.left), _compile(node.right)]
-        return _apply(_BINARY_RULES[node.op], node, args, guarded=node.op in _GUARDED_OPS)
-    return _apply(FUNCTIONS[node.func], node, [_compile(node.arg)], guarded=True)
+        left, right = _compile(node.left, rules, report), _compile(node.right, rules, report)
+        if node.op == "^" and callable(left) and not callable(right):
+            try:
+                rule = rules.power_rule(right[0])
+            except _DOMAIN_ERRORS:
+                pass  # an exponent int() refuses: power fails at each evaluation instead
+            else:
+                return report(_kernel(rule, left), node)
+        return _apply(rules, report, node.op, node, [left, right])
+    return _apply(rules, report, node.func, node, [_compile(node.arg, rules, report)])
 
 
 def _check_finite(expr, jet, rho, count):
@@ -404,18 +432,49 @@ def _check_finite(expr, jet, rho, count):
     return Jet3._make(jet)
 
 
+def _array_jet(expr, rho, count):
+    """Jets of S at a 1-D array of rho, from one run of the array kernel.
+
+    Where that run raises, or leaves a non-finite value in any of the four
+    components, the points are evaluated again one at a time by the scalar
+    kernel, which raises what the first offending rho raises alone.
+    """
+    rho = np.array(rho, dtype=float)  # a copy: the value of a bare rho is this array
+    try:
+        with np.errstate(all="ignore"):
+            jet = expr.array_kernel((rho, 1.0, 0.0, 0.0))
+    except _DOMAIN_ERRORS:
+        pass
+    else:
+        columns = [c if isinstance(c, np.ndarray) else np.full(rho.shape, c) for c in jet]
+        if all(np.isfinite(c).all() for c in columns):
+            return Jet3._make(columns)
+    rows = [_check_finite(expr, expr.kernel((r, 1.0, 0.0, 0.0)), r, count) for r in rho.tolist()]
+    return Jet3._make(np.array(rows, dtype=float).reshape(-1, 4).T.copy())
+
+
 def eval_jet2(expr, rho):
     """Evaluate S at rho as a Jet3, checking only S, dS/drho and d2S/drho2.
 
     For callers that need no third derivative, so a non-finite d3 is not an
-    error here.  It stays a function of its own, not an alias of eval_jet3,
-    so that wrappers installed by name (bench/spans.py) count the two apart.
+    error here.  rho is a float, or a 1-D array whose jets come back as four
+    arrays: the scalar calls stacked, bit for bit, and the first failing
+    point's error.  It stays a function of its own, not an alias of
+    eval_jet3, so that wrappers installed by name (bench/spans.py) count the
+    two apart.
     """
+    if type(rho) is not float and getattr(rho, "ndim", 0):
+        return _array_jet(expr, rho, 3)
     rho = float(rho)
     return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 3)
 
 
 def eval_jet3(expr, rho):
-    """Evaluate (S, dS/drho, d2S/drho2, d3S/drho3) at rho, all checked finite."""
+    """Evaluate (S, dS/drho, d2S/drho2, d3S/drho3) at rho, all checked finite.
+
+    rho is a float, or a 1-D array as for eval_jet2.
+    """
+    if type(rho) is not float and getattr(rho, "ndim", 0):
+        return _array_jet(expr, rho, 4)
     rho = float(rho)
     return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 4)

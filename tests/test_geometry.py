@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from curvedq.geometry import (
     AxisSingularityError,
+    CurvatureSample,
     FocalSurfaceError,
     curvature_sample,
     gaussian_curvature,
@@ -164,3 +166,47 @@ def test_open_domain_bounds_checked():
     patch = graph_metric_patch(parse_shape("rho^2"), (0.5, 1.5))
     with pytest.raises(ValueError):
         curvature_sample(patch, 2.0)
+
+
+def test_curvature_sample_over_an_array_is_the_scalar_samples_stacked():
+    cases = (
+        (graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9)), np.linspace(0.0, 1.9, 41), 0.3),
+        (graph_metric_patch(parse_shape("0.3*rho^3-0.8*rho^2+0.5*rho+1.2"), (0.2, 1.8)), np.linspace(0.2, 1.8, 37), 0.0),
+        (torus_metric_patch(3.0, 1.0), np.linspace(0.0, 2.0 * math.pi, 33, endpoint=False), -0.4),
+    )
+    for patch, grid, q in cases:
+        table = curvature_sample(patch, grid, q)
+        samples = [curvature_sample(patch, w, q) for w in grid.tolist()]
+        for field in dataclasses.fields(CurvatureSample):
+            want = np.array([getattr(s, field.name) for s in samples])
+            assert getattr(table, field.name).tobytes() == want.tobytes(), (patch.label, field.name)
+
+
+def _first_error(patch, grid, q):
+    for w in grid:
+        try:
+            curvature_sample(patch, w, q)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+def test_curvature_sample_over_an_array_raises_the_first_failing_points_error():
+    # sqrt(1.5 - rho^2) leaves its domain past rho = 1.2247, inside the patch
+    patch = graph_metric_patch(parse_shape("sqrt(1.5-rho^2)+rho^3"), (0.1, 1.4))
+    cases = (
+        ([0.5, 1.45, 1.3], 0.0),  # outside the patch first, then the shape's domain
+        ([0.5, 1.3, 1.45], 0.0),  # the shape's domain first
+        ([0.2, 1.0, 1.3], 1.5),  # a focal point first, then the shape's domain
+    )
+    for grid, q in cases:
+        kind, message = _first_error(patch, grid, q)
+        with pytest.raises(kind) as info:
+            curvature_sample(patch, np.array(grid), q)
+        assert type(info.value) is kind and str(info.value) == message, (grid, q)
+    assert _first_error(patch, [0.2, 1.0, 1.3], 1.5)[0] is FocalSurfaceError
+    torus = torus_metric_patch(3.0, 1.0)
+    grid = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+    with pytest.raises(FocalSurfaceError) as info:
+        curvature_sample(torus, grid, 2.0)
+    assert str(info.value) == _first_error(torus, grid.tolist(), 2.0)[1]

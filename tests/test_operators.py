@@ -19,7 +19,7 @@ from curvedq.operators import (
     surface_operator,
 )
 from curvedq.cli import selfadjointness_defect
-from curvedq.shapes import ShapeDomainError, parse_shape
+from curvedq.shapes import ShapeDomainError, eval_jet2, parse_shape
 
 from _helpers import (
     per_node_hermiticity_residual,
@@ -58,6 +58,17 @@ def test_one_jet_walk_per_graph_frame(monkeypatch):
             coeffs = surface_operator(patch, formulation, 1, ordering)
             for name in ("c2", "c1", "c0", "weight", "v0"):
                 assert walks(getattr(coeffs, name), 0.7) == 1, (formulation, ordering, name)
+    # a grid of rho costs one walk of the array kernel, not one per point
+    assert walks(patch.frame, np.linspace(0.2, 1.8, 64)) == 1
+    assert walks(lambda w: curvature_sample(patch, w), np.linspace(0.2, 1.8, 64)) == 1
+
+    jet2_calls = []
+    jet2 = curvedq.operators.eval_jet2
+    monkeypatch.setattr(curvedq.operators, "eval_jet2", lambda expr, rho: jet2_calls.append(rho) or jet2(expr, rho))
+    f, g = parse_shape("(rho-0.2)*(1.8-rho)"), parse_shape("(rho-0.2)*(1.8-rho)*rho")
+    # the measure and the drift, then each test function at the ends and on the grid
+    assert walks(lambda _: hermiticity_residual(hermitian_momenta(patch)[0], patch, f, g), None) <= 2
+    assert len(jet2_calls) <= 4
 
 
 def test_torus_poloidal_drift():
@@ -379,6 +390,26 @@ def test_hermiticity_residual_matches_the_per_node_sum():
     for op, patch, f, g in cases:
         want = per_node_hermiticity_residual(op, patch, f, g)
         assert abs(hermiticity_residual(op, patch, f, g) - want) <= 1e-13, (op.label, patch.label, want)
+
+
+def test_hermiticity_residual_is_its_integrand_from_stacked_scalar_jets():
+    # the integrand hermiticity_residual sums, rebuilt from scalar jets and
+    # frames stacked point by point, and summed by the same np.sum
+    patch = graph_metric_patch(parse_shape("0.1+0.2*rho+-0.3*rho^2+0.4*rho^3"), (0.2, 1.8))
+    p_rho = hermitian_momenta(patch)[0]
+    f, g = parse_shape("(rho-0.2)*(1.8-rho)"), parse_shape("(rho-0.2)*(1.8-rho)*sin(rho)")
+    nodes, gw = np.polynomial.legendre.leggauss(512)
+    theta = 0.8 * nodes + 1.0
+    wq = 0.8 * gw
+    frames = [patch.frame(t) for t in theta.tolist()]
+    measure = np.array([fr.a1 * fr.a2 for fr in frames])
+    drift = np.array([p_rho.drift(t) for t in theta.tolist()])
+    fj = [eval_jet2(f, t) for t in theta.tolist()]
+    gj = [eval_jet2(g, t) for t in theta.tolist()]
+    fv, fs = np.array([j.value for j in fj]), np.array([j.d1 for j in fj])
+    gv, gs = np.array([j.value for j in gj]), np.array([j.d1 for j in gj])
+    want = abs(np.sum((fv * gs + fs * gv + 2.0 * drift * fv * gv) * measure * wq))
+    assert hermiticity_residual(p_rho, patch, f, g) == want
 
 
 def test_grid_checks_read_each_field_once_per_grid():
