@@ -72,6 +72,14 @@ class MetricPatch:
     there; a caller that needs several fields at w reads them all from one
     frame.  A 1-D array of w gives each field as its scalar calls stacked,
     bit for bit, so every function of w built from frames takes arrays too.
+
+    A graph patch keeps the frame of its last float w: consecutive reads at
+    the same float (with -0.0 apart from 0.0) share one Frame, so a
+    curvature sample, the momentum drifts and every operator coefficient
+    read there one after another run the shape kernel once.  The frame is
+    the one a fresh patch returns, a frame that raises is not kept, and
+    arrays and numpy scalars are never memoised.  The memo is one tuple,
+    replaced in one assignment, so threads sharing a patch are safe.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
@@ -164,6 +172,8 @@ def graph_metric_patch(shape, domain):
     epsilon offset.  Raises AxisSingularityError otherwise.
     """
     lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"rho domain must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError("empty rho domain")
     if lo < 0.0:
@@ -172,7 +182,20 @@ def graph_metric_patch(shape, domain):
         raise AxisSingularityError(
             "rho = 0 lies in the domain but S_rho(0) != 0; the surface has a conical point"
         )
-    return MetricPatch("rho", (lo, hi), "open", lambda w: _graph_frame(shape, w))
+    last = (None, None)  # (key, Frame) of the last float w
+
+    def frame(w):
+        nonlocal last
+        if type(w) is not float:
+            return _graph_frame(shape, w)
+        key = (w, math.copysign(1.0, w))
+        seen, fr = last
+        if seen != key:
+            fr = _graph_frame(shape, w)
+            last = (key, fr)
+        return fr
+
+    return MetricPatch("rho", (lo, hi), "open", frame)
 
 
 def torus_metric_patch(major_radius, minor_radius):

@@ -142,12 +142,12 @@ def cancellation_residual(h, k, q=0.0):
 
 
 def integer(name, value):
-    """The setting `name` as an int; 2.0 is accepted, 1.7 and True are refused."""
+    """The setting `name` as an int; 2.0 is accepted, 1.7, True and np.True_ are refused."""
     try:
         result = int(value)
     except (TypeError, ValueError, OverflowError):
         result = None
-    if result is None or result != value or isinstance(value, bool):
+    if result is None or result != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return result
 

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvedq.geometry import (
     AxisSingularityError,
@@ -15,7 +18,8 @@ from curvedq.geometry import (
     rescaling_factor,
     torus_metric_patch,
 )
-from curvedq.shapes import parse_shape
+from curvedq.operators import FORMULATIONS, ORDERINGS, hermitian_momenta, surface_operator
+from curvedq.shapes import ShapeDomainError, parse_shape
 
 
 def test_plane_has_no_curvature():
@@ -58,6 +62,15 @@ def test_axis_limit_with_flat_cap():
 def test_axis_singularity_rejected():
     with pytest.raises(AxisSingularityError):
         graph_metric_patch(parse_shape("0.75*rho"), (0.0, 1.0))
+
+
+def test_graph_patch_refuses_non_finite_domain():
+    shape = parse_shape("rho^2")
+    for bad in (math.inf, -math.inf, math.nan):
+        for domain in ((0.2, bad), (bad, 1.8)):
+            with pytest.raises(ValueError, match="rho domain must be finite") as info:
+                graph_metric_patch(shape, domain)
+            assert str(info.value).endswith(f"({domain[0]}, {domain[1]})")
 
 
 def test_torus_patch_values():
@@ -210,3 +223,111 @@ def test_curvature_sample_over_an_array_raises_the_first_failing_points_error():
     with pytest.raises(FocalSurfaceError) as info:
         curvature_sample(torus, grid, 2.0)
     assert str(info.value) == _first_error(torus, grid.tolist(), 2.0)[1]
+
+
+# -- the graph patch's memo of its last scalar frame ---------------------------------
+
+# flat caps on [0, 0.9]; sqrt(1-rho^2) also leaves its domain past rho = 1
+_FLAT_CAPS = ("1-rho^2", "sqrt(1-rho^2)")
+_MEMO_POINTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.45, 0.9, 1.5, np.float64(0.0), np.float64(-0.0), np.float64(0.45))),
+    st.floats(0.0, 0.9),
+)
+
+
+def _scalar_reads(patch):
+    """Every scalar read a pointwise caller makes of a patch, by name."""
+    p_w, _, p_q = hermitian_momenta(patch)
+    reads = {
+        "frame": patch.frame,
+        "sample": lambda w: curvature_sample(patch, w),
+        "drift_w": p_w.drift,
+        "drift_q": p_q.drift,
+    }
+    for formulation in FORMULATIONS:
+        for ordering in ORDERINGS:
+            coeffs = surface_operator(patch, formulation, 2, ordering)
+            for field in dataclasses.fields(coeffs):
+                reads[f"{formulation}/{ordering}/{field.name}"] = getattr(coeffs, field.name)
+    return reads
+
+
+_READ_NAMES = sorted(_scalar_reads(graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9))))
+
+
+def _outcome(read, w):
+    """The value's type, repr and field types, or the error's type and message."""
+    try:
+        value = read(w)
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    if dataclasses.is_dataclass(value):
+        parts = dataclasses.astuple(value)
+    else:
+        parts = value if isinstance(value, tuple) else (value,)
+    return type(value), repr(value), [type(x) for x in parts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    source=st.sampled_from(_FLAT_CAPS),
+    visits=st.lists(st.tuples(_MEMO_POINTS, st.lists(st.sampled_from(_READ_NAMES), min_size=1, max_size=5)), max_size=6),
+)
+def test_graph_frame_memo_gives_a_fresh_patchs_results(source, visits):
+    shape = parse_shape(source)
+    shared = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
+    for w, names in visits:
+        for name in names:
+            fresh = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
+            assert _outcome(shared[name], w) == _outcome(fresh[name], w), (name, w)
+
+
+def test_graph_frame_memo_keeps_signed_zeros_input_types_and_errors():
+    patch = graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9))
+    weight = surface_operator(patch, "laplacian").weight
+    c0 = surface_operator(patch, "hermitian", 1).c0
+    assert repr(patch.frame(0.0).a2) == "0.0" and repr(patch.frame(-0.0).a2) == "-0.0"
+    assert repr(weight(0.0)) == "0.0" and repr(weight(-0.0)) == "-0.0"
+    c0(0.5)  # the patch now keeps the frame of the float 0.5
+    assert type(patch.frame(np.float64(0.5)).a2) is np.float64
+    assert type(c0(np.float64(0.5))) is np.float64 and c0(np.float64(0.5)) == c0(0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside patch domain"):
+            curvature_sample(patch, 1.5)
+    assert curvature_sample(patch, 0.5) == curvature_sample(graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9)), 0.5)
+
+    cap = graph_metric_patch(parse_shape("sqrt(1-rho^2)"), (0.0, 0.9))
+    want = repr(graph_metric_patch(parse_shape("sqrt(1-rho^2)"), (0.0, 0.9)).frame(0.5))
+    assert repr(cap.frame(0.5)) == want
+    for _ in range(2):  # a frame that raises is never kept
+        with pytest.raises(ShapeDomainError):
+            cap.frame(1.5)
+    assert repr(cap.frame(0.5)) == want
+
+
+def test_graph_frame_memo_under_threads():
+    shape = parse_shape("0.3*rho^3+0.5*sin(rho)")
+    patch = graph_metric_patch(shape, (0.2, 1.8))
+    points = np.linspace(0.2, 1.8, 17).tolist()
+    want = {w: repr(graph_metric_patch(shape, (0.2, 1.8)).frame(w)) for w in points}
+    wrong = []
+
+    def reader(step):
+        for i in range(400):
+            w = points[(i * step) % len(points)]
+            for _ in range(2):
+                if repr(patch.frame(w)) != want[w]:
+                    wrong.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(step,)) for step in (1, 3, 5, 7)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -35,29 +35,32 @@ def _fd(fn, w, h=1e-5):
     return (fn(w - 2 * h) - 8 * fn(w - h) + 8 * fn(w + h) - fn(w + 2 * h)) / (12 * h)
 
 
-def test_one_jet_walk_per_graph_frame(monkeypatch):
+@pytest.fixture
+def jet3_calls(monkeypatch):
+    """The rho of each eval_jet3 run that graph frames make, in order."""
     calls = []
     walk = curvedq.geometry.eval_jet3
+    monkeypatch.setattr(curvedq.geometry, "eval_jet3", lambda expr, rho: calls.append(rho) or walk(expr, rho))
+    return calls
 
-    def counted(expr, rho):
-        calls.append(rho)
-        return walk(expr, rho)
 
-    monkeypatch.setattr(curvedq.geometry, "eval_jet3", counted)
+def test_one_jet_walk_per_graph_frame(monkeypatch, jet3_calls):
     patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
 
     def walks(fn, w):
-        calls.clear()
+        jet3_calls.clear()
         fn(w)
-        return len(calls)
+        return len(jet3_calls)
 
-    assert walks(lambda w: curvature_sample(patch, w), 0.7) == 1
-    assert walks(hermitian_momenta(patch)[0].drift, 0.7) == 1
+    # each scalar read at a float the patch has not just seen costs one walk
+    fresh = iter(np.linspace(0.3, 1.7, 32).tolist())
+    assert walks(lambda w: curvature_sample(patch, w), next(fresh)) == 1
+    assert walks(hermitian_momenta(patch)[0].drift, next(fresh)) == 1
     for formulation in FORMULATIONS:
         for ordering in ORDERINGS:
             coeffs = surface_operator(patch, formulation, 1, ordering)
             for name in ("c2", "c1", "c0", "weight", "v0"):
-                assert walks(getattr(coeffs, name), 0.7) == 1, (formulation, ordering, name)
+                assert walks(getattr(coeffs, name), next(fresh)) == 1, (formulation, ordering, name)
     # a grid of rho costs one walk of the array kernel, not one per point
     assert walks(patch.frame, np.linspace(0.2, 1.8, 64)) == 1
     assert walks(lambda w: curvature_sample(patch, w), np.linspace(0.2, 1.8, 64)) == 1
@@ -69,6 +72,24 @@ def test_one_jet_walk_per_graph_frame(monkeypatch):
     # the measure and the drift, then each test function at the ends and on the grid
     assert walks(lambda _: hermiticity_residual(hermitian_momenta(patch)[0], patch, f, g), None) <= 2
     assert len(jet2_calls) <= 4
+
+
+def test_one_jet_walk_per_scalar_point(jet3_calls):
+    # a pointwise caller reads the curvature, both drifts and every coefficient
+    # of three operators at one float w: the patch keeps its last frame
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    p_w, _, p_q = hermitian_momenta(patch)
+    pairs = (("laplacian", "sandwich"), ("hermitian", "left"), ("hermitian", "sandwich"))
+    ops = [surface_operator(patch, formulation, 1, ordering) for formulation, ordering in pairs]
+    for w in (0.7, 1.3):
+        jet3_calls.clear()
+        curvature_sample(patch, w)
+        p_w.drift(w)
+        p_q.drift(w)
+        for coeffs in ops:
+            for field in dataclasses.fields(coeffs):
+                getattr(coeffs, field.name)(w)
+        assert jet3_calls == [w]
 
 
 def test_torus_poloidal_drift():
@@ -252,7 +273,7 @@ def test_torus_hermitian_reproduces_reduced_equation():
 
 def test_surface_operator_rejects_non_integer_nu():
     patch = torus_metric_patch(3.0, 1.0)
-    for nu in (1.7, -0.5, float("nan"), "x", True):
+    for nu in (1.7, -0.5, float("nan"), "x", True, np.True_, np.False_):
         for formulation in FORMULATIONS:
             with pytest.raises(ValueError, match="nu"):
                 surface_operator(patch, formulation, nu)

@@ -48,7 +48,7 @@ def test_alpha_whose_major_radius_overflows_is_refused():
 
 
 def test_problem_rejects_non_integer_nu():
-    for nu in (1.7, -0.5, float("nan"), float("inf"), "x", True):
+    for nu in (1.7, -0.5, float("nan"), float("inf"), "x", True, np.True_, np.False_):
         with pytest.raises(ValueError, match="nu"):
             TorusProblem(0.5, nu, "laplacian")
     assert TorusProblem(0.5, 2.0, "laplacian").nu == 2
