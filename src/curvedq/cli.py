@@ -73,7 +73,7 @@ def emit(payload, fmt, digits=_DEFAULT_DIGITS):
 def _cell(value, digits):
     if isinstance(value, float):
         text = f"{value:.{digits}f}"
-        return "0." + "0" * digits if text == "-0." + "0" * digits else text
+        return text[1:] if text.startswith("-") and float(text) == 0.0 else text
     return str(value)
 
 
@@ -404,6 +404,9 @@ def run(argv=None):
             if value < least:
                 raise _integer_error(name, value)
         text = _HANDLERS[ns.command](ns)
+        if ns.output:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -412,10 +415,7 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not ns.output:
         sys.stdout.write(text)
     return 0
 

@@ -219,11 +219,12 @@ def torus_metric_patch(major_radius, minor_radius):
 def curvature_sample(patch, w, q=0.0):
     """Curvatures, V_C and the rescaling factor F at (w, q).
 
-    Raises FocalSurfaceError when q reaches a focal distance (a shell
-    factor 1 + q*k_i drops to zero or below); the metric factorization is
-    meaningless there.  A 1-D array of w gives one CurvatureSample of
-    arrays, the scalar samples stacked, from one frame; where a point fails,
-    the points go one at a time, so the error is the first failing point's.
+    Raises ValueError for a non-finite w or q, and FocalSurfaceError when
+    q reaches a focal distance (a shell factor 1 + q*k_i drops to zero or
+    below); the metric factorization is meaningless there.  A 1-D array of
+    w gives one CurvatureSample of arrays, the scalar samples stacked, from
+    one frame; where a point fails, the points go one at a time, so the
+    error is the first failing point's.
     """
     if type(w) is not float and getattr(w, "ndim", 0):
         w = np.array(w, dtype=float)
@@ -234,6 +235,8 @@ def curvature_sample(patch, w, q=0.0):
                 curvature_sample(patch, x, q)
             raise
     w = float(w)
+    if not (math.isfinite(w) and math.isfinite(q)):
+        raise ValueError(f"curvature sample needs a finite w and q, got w={w}, q={q}")
     if patch.boundary == "open":
         lo, hi = patch.domain
         if not lo <= w <= hi:
@@ -264,6 +267,8 @@ def curvature_sample(patch, w, q=0.0):
 def _curvature_table(patch, w, q):
     """curvature_sample at each point of the array w; where one fails, an error that names no point."""
     lo, hi = patch.domain
+    if not (np.isfinite(w).all() and math.isfinite(q)):
+        raise ValueError("curvature sample needs a finite w and q")
     if patch.boundary == "open" and not np.all((lo <= w) & (w <= hi)):
         raise ValueError("coordinate outside the patch domain")
     fr = patch.frame(w)

@@ -1,4 +1,4 @@
-"""Forward-mode dual numbers carrying exact derivatives (no finite differencing).
+"""Derivative rules of forward-mode jets: exact derivatives, no finite differencing.
 
 A jet is a 4-tuple (value, d1, d2, d3): a value with its first three
 derivatives along one variable.  It has two carriers: its components are
@@ -19,9 +19,10 @@ So an ARRAY rule returns the SCALAR results stacked, bit for bit, or raises,
 or leaves a non-finite component where a scalar division by zero would have
 raised; shapes.py then evaluates the points one at a time.
 
-Compiled shape kernels (shapes.py) call these rules on plain tuples; Jet3,
-the public jet type, is a 4-tuple whose operators and methods apply the
-SCALAR rules, so the two routes are bit-identical.
+The compiled shape kernels of shapes.py are the one route to these rules:
+they call them on plain tuples, and eval_jet2 and eval_jet3 return the
+result as a Jet3, a record of the four components with no arithmetic of
+its own.
 
 Shape evaluation and the curvatures read the first two derivatives, and the
 second derivative of the slope factor Z of a graph reads the third.
@@ -234,74 +235,19 @@ ARRAY = _rules(SimpleNamespace(
     **{name: _each(getattr(math, name)) for name in _FUNCTION_VALUES},
 ))
 
-div = SCALAR.table["/"]
-power = SCALAR.table["^"]
-FUNCTIONS = {name: SCALAR.table[name] for name in ("cos", "cosh", "exp", "ln", "sin", "sinh", "sqrt", "tan", "tanh")}
-
-
-def _lift(x):
-    if isinstance(x, Jet3):
-        return x
-    if isinstance(x, (int, float)):
-        return (float(x), 0.0, 0.0, 0.0)
-    return NotImplemented
-
-
-def _operator(rule, reflected=False):
-    """Jet3 operator applying rule to self and other, a number lifted to a
-    constant jet; reflected puts other on the left."""
-    def apply(self, other):
-        o = _lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet3._make(rule(o, self) if reflected else rule(self, o))
-
-    return apply
-
-
-def _method(rule):
-    def apply(self):
-        return Jet3._make(rule(self))
-
-    apply.__name__ = rule.__name__
-    return apply
+FUNCTIONS = ("cos", "cosh", "exp", "ln", "sin", "sinh", "sqrt", "tan", "tanh")  # names of the function rules, sorted
 
 
 class Jet3(NamedTuple):
-    """Value with exact first, second and third derivatives along one variable.
+    """A shape's value and its first three derivatives at rho, as eval_jet2
+    and eval_jet3 return them: four floats, or four 1-D arrays, one entry
+    per point, for an array of rho.
 
-    Arithmetic obeys the product, quotient and chain rules exactly, so
-    polynomial expressions propagate with no truncation error.  The
-    operators apply the module-level rules with self on the left, unless
-    reflected, and there is one method per name in FUNCTIONS.  The third
-    derivative is needed only for Z'' of a graph (Z = sqrt(1 + S'^2)),
-    which enters the Hermitian coefficients through the drift's slope.
+    A plain record: the derivative rules are this module's functions, and
+    only the compiled shape kernels call them.
     """
 
     value: float
-    d1: float = 0.0
-    d2: float = 0.0
-    d3: float = 0.0
-
-    # a numpy scalar on the left defers to the reflected operator here
-    # instead of broadcasting over the tuple
-    __array_ufunc__ = None
-
-    @staticmethod
-    def variable(x):
-        return Jet3(float(x), 1.0, 0.0, 0.0)
-
-    @staticmethod
-    def constant(c):
-        return Jet3(float(c), 0.0, 0.0, 0.0)
-
-    __neg__ = _method(neg)
-    __add__ = __radd__ = _operator(add)
-    __sub__, __rsub__ = _operator(sub), _operator(sub, reflected=True)
-    __mul__ = __rmul__ = _operator(mul)
-    __truediv__, __rtruediv__ = _operator(div), _operator(div, reflected=True)
-    __pow__, __rpow__ = _operator(power), _operator(power, reflected=True)
-
-
-for _name, _rule in FUNCTIONS.items():
-    setattr(Jet3, _name, _method(_rule))
+    d1: float
+    d2: float
+    d3: float

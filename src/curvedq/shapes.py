@@ -44,7 +44,7 @@ import numpy as np
 from . import jets
 from .jets import FUNCTIONS, Jet3
 
-FUNCTION_NAMES = tuple(FUNCTIONS)
+FUNCTION_NAMES = FUNCTIONS  # in this order: seeded test trees index into it
 
 
 class ShapeError(ValueError):

@@ -368,6 +368,14 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["laplacian"] == 0.25
 
 
+def test_output_path_that_cannot_be_opened_exits_1(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "magic.json"):
+        code, out, err = _run(capsys, ["magic", "--nu", "2", "-o", str(target)])
+        assert code == 1 and out == "", target
+        assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"states": 2, "digits": 6}), encoding="utf-8")
@@ -448,6 +456,24 @@ def test_emit_determinism():
 
 def test_emit_negative_zero_normalized():
     assert emit((["v"], [[-1e-9]]), "csv", 4) == "v\n0.0000\n"
+    assert emit((["v"], [[-1e-9], [-0.0], [-0.6], [0.4]]), "csv", 0) == "v\n0\n0\n-1\n0\n"
+    assert emit((["v"], [[-1e-9]]), "table", 0) == "v\n0\n"
+
+
+def test_digits_zero_prints_no_negative_zero(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"digits": 0}), encoding="utf-8")
+    curvature = ["curvature", "--shape=rho^2", "--wmin", "0", "--wmax", "1", "--points", "3", "--digits", "0"]
+    for argv in (
+        curvature + ["--format", "csv"],
+        curvature + ["--format", "table"],
+        ["compare", "--alpha", "1/2", "--config", str(cfg)],
+        ["compare", "--alpha", "1/2", "--config", str(cfg), "--format", "csv"],
+    ):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, argv
+        cells = out.replace(",", " ").split()
+        assert "0" in cells and "-0" not in cells, (argv, out)
 
 
 def test_parser_builds():

@@ -225,6 +225,22 @@ def test_curvature_sample_over_an_array_raises_the_first_failing_points_error():
     assert str(info.value) == _first_error(torus, grid.tolist(), 2.0)[1]
 
 
+def test_curvature_sample_refuses_non_finite_w_and_q():
+    torus = torus_metric_patch(3.0, 1.0)
+    graph = graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9))
+    for patch in (torus, graph):
+        for bad in (math.nan, math.inf, -math.inf):
+            for w, q in ((bad, 0.0), (0.5, bad)):
+                with pytest.raises(ValueError) as info:
+                    curvature_sample(patch, w, q)
+                assert type(info.value) is ValueError, (patch.label, w, q)
+                assert str(info.value) == f"curvature sample needs a finite w and q, got w={w}, q={q}"
+                grid = [0.3, w, 0.7]
+                with pytest.raises(ValueError) as info:
+                    curvature_sample(patch, np.array(grid), q)
+                assert (type(info.value), str(info.value)) == _first_error(patch, grid, q), (patch.label, w, q)
+
+
 # -- the graph patch's memo of its last scalar frame ---------------------------------
 
 # flat caps on [0, 0.9]; sqrt(1-rho^2) also leaves its domain past rho = 1

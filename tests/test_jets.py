@@ -1,49 +1,59 @@
+"""The derivative rules of jets.py, through the route every caller takes:
+a shape parsed by parse_shape and evaluated by its compiled kernel."""
+
 import math
 
 import numpy as np
 import pytest
 
+from curvedq import jets
 from curvedq.jets import Jet3
+from curvedq.shapes import FUNCTION_NAMES, ShapeDomainError, eval_jet3, parse_shape
 
-from _helpers import poly_derivative, poly_eval, random_poly
+from _helpers import poly_derivative, poly_eval, poly_source, random_poly
 
 
-def jet_of_poly(coeffs, x):
-    acc = Jet3.constant(0.0)
-    var = Jet3.variable(x)
-    for k, c in enumerate(coeffs):
-        acc = acc + c * var**k
-    return acc
+def jet(src, rho):
+    return eval_jet3(parse_shape(src), rho)
 
 
 def test_variable_and_constant():
-    x = Jet3.variable(2.0)
-    assert (x.value, x.d1, x.d2) == (2.0, 1.0, 0.0)
-    c = Jet3.constant(3.0)
-    assert (c.value, c.d1, c.d2) == (3.0, 0.0, 0.0)
+    x = jet("rho", 2.0)
+    assert type(x) is Jet3 and x == (2.0, 1.0, 0.0, 0.0)
+    assert (x.value, x.d1, x.d2, x.d3) == (2.0, 1.0, 0.0, 0.0)
+    assert jet("3", 2.0) == (3.0, 0.0, 0.0, 0.0)
+    assert jet("pi", 2.0) == (math.pi, 0.0, 0.0, 0.0)
+
+
+def test_jet3_is_a_plain_record():
+    assert Jet3._fields == ("value", "d1", "d2", "d3")
+    assert [name for name in vars(Jet3) if not name.startswith("_")] == ["value", "d1", "d2", "d3"]
+    for name in ("__neg__", "__add__", "__mul__", "__truediv__", "__pow__", "variable", "constant") + jets.FUNCTIONS:
+        assert name not in vars(Jet3), name
+    # a tuple: + concatenates, it applies no rule
+    assert Jet3(1.0, 2.0, 3.0, 4.0) + (5.0,) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def test_product_rule_exact_on_monomials():
-    x = Jet3.variable(1.7)
-    left = (x**3) * (x**4)
-    right = x**7
+    left = jet("rho^3*rho^4", 1.7)
+    right = jet("rho^7", 1.7)
     assert left.value == pytest.approx(right.value, rel=1e-15)
     assert left.d1 == pytest.approx(right.d1, rel=1e-15)
     assert left.d2 == pytest.approx(right.d2, rel=1e-15)
+    assert left.d3 == pytest.approx(right.d3, rel=1e-14)
 
 
 def test_quotient_rule():
-    x = Jet3.variable(2.0)
-    q = (x * x + 1.0) / (x - 3.0)
-    # f/g with f = x^2+1, g = x-3 at x=2: value -5, d1 = -9, d2 = -20
+    q = jet("(rho*rho+1)/(rho-3)", 2.0)
+    # f/g with f = x^2+1, g = x-3 at x=2: value -5, d1 = -9, d2 = -20, d3 = -60
     assert q.value == pytest.approx(-5.0, abs=1e-14)
     assert q.d1 == pytest.approx(-9.0, abs=1e-13)
     assert q.d2 == pytest.approx(-20.0, abs=1e-13)
+    assert q.d3 == pytest.approx(-60.0, abs=1e-12)
 
 
 def test_chain_rule_through_sin():
-    x = Jet3.variable(0.7)
-    y = (x * x).sin()
+    y = jet("sin(rho*rho)", 0.7)
     v = 0.7 * 0.7
     assert y.value == pytest.approx(math.sin(v))
     assert y.d1 == pytest.approx(2 * 0.7 * math.cos(v))
@@ -55,62 +65,76 @@ def test_random_polynomials_match_symbolic_differentiation():
     for _ in range(200):
         coeffs = random_poly(rng)
         x = float(rng.uniform(-2.0, 2.0))
-        jet = jet_of_poly(coeffs, x)
+        j = jet(poly_source(coeffs), x)
         d1c = poly_derivative(coeffs)
         d2c = poly_derivative(d1c)
         for got, ref in (
-            (jet.value, poly_eval(coeffs, x)),
-            (jet.d1, poly_eval(d1c, x)),
-            (jet.d2, poly_eval(d2c, x)),
+            (j.value, poly_eval(coeffs, x)),
+            (j.d1, poly_eval(d1c, x)),
+            (j.d2, poly_eval(d2c, x)),
         ):
             assert got == pytest.approx(ref, rel=1e-14, abs=1e-13)
 
 
+def _domain_error(src, rho, reason):
+    with pytest.raises(ShapeDomainError) as info:
+        jet(src, rho)
+    assert (info.value.reason, info.value.subexpr, info.value.rho) == (reason, str(parse_shape(src)), rho)
+
+
 def test_integer_power_edge_cases():
-    zero = Jet3.variable(0.0)
-    sq = zero**2
-    assert (sq.value, sq.d1, sq.d2) == (0.0, 0.0, 2.0)
-    assert (zero**0).value == 1.0
+    assert jet("rho^2", 0.0) == (0.0, 0.0, 2.0, 0.0)
+    assert jet("rho^0", 0.0).value == 1.0
+    _domain_error("rho^-1", 0.0, "zero raised to a negative power")
+    # the bare rule's own exception, which the kernel reports as a ShapeDomainError
     with pytest.raises(ZeroDivisionError):
-        zero**-1
-    neg = Jet3.variable(-2.0)
-    cube = neg**3
-    assert cube.value == -8.0 and cube.d1 == 12.0 and cube.d2 == -12.0
+        jets.SCALAR.table["^"]((0.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0))
+    assert jet("rho^3", -2.0) == (-8.0, 12.0, -12.0, 6.0)
 
 
 def test_fractional_power_of_negative_base_raises():
+    _domain_error("rho^0.5", -2.0, "fractional power of a non-positive base")
     with pytest.raises(ValueError):
-        Jet3.variable(-2.0) ** 0.5
+        jets.SCALAR.table["^"]((-2.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0))
 
 
 def test_variable_exponent():
-    x = Jet3.variable(1.5)
-    y = x**x  # = exp(x ln x)
+    y = jet("rho^rho", 1.5)  # = exp(rho ln rho)
     v = 1.5**1.5
     assert y.value == pytest.approx(v)
     assert y.d1 == pytest.approx(v * (math.log(1.5) + 1.0))
 
 
 def test_division_by_zero_raises():
+    _domain_error("rho/0.0", 1.0, "division by zero")
     with pytest.raises(ZeroDivisionError):
-        Jet3.variable(1.0) / Jet3.constant(0.0)
+        jets.SCALAR.table["/"]((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_jet3_third_derivatives():
-    x = Jet3.variable(0.6)
-    cases = [
-        (x.sin(), -math.cos(0.6)),
-        (x.exp(), math.exp(0.6)),
-        (x.ln(), 2.0 / 0.6**3),
-        (x.sqrt(), 0.375 * 0.6**-2.5),
-        (x.tanh(), None),
-    ]
-    for jet, ref in cases:
-        if ref is not None:
-            assert jet.d3 == pytest.approx(ref, rel=1e-12)
+    # each function's third derivative at x = 0.6, in a closed form the rule does not use
+    x = 0.6
+    sec2, sech2 = 1.0 / math.cos(x) ** 2, 1.0 / math.cosh(x) ** 2
+    cases = {
+        "cos": math.sin(x),
+        "cosh": math.sinh(x),
+        "exp": math.exp(x),
+        "ln": 2.0 / x**3,
+        "sin": -math.cos(x),
+        "sinh": math.cosh(x),
+        "sqrt": 0.375 * x**-2.5,
+        "tan": 2.0 * sec2 * sec2 + 4.0 * sec2 * math.tan(x) ** 2,
+        "tanh": 4.0 * sech2 * math.tanh(x) ** 2 - 2.0 * sech2 * sech2,
+    }
+    # the grammar's functions in its order, which seeded test trees index into, are the rules' functions
+    assert tuple(cases) == FUNCTION_NAMES
+    for rules in (jets.SCALAR, jets.ARRAY):
+        assert set(rules.table) == {"neg", "+", "-", "*", "/", "^"} | set(FUNCTION_NAMES)
+    for name, ref in cases.items():
+        assert jet(f"{name}(rho)", x).d3 == pytest.approx(ref, rel=1e-12), name
     # tanh third derivative cross-checked against the identity (1-t^2)(6t^2-2)
-    t = math.tanh(0.6)
-    assert x.tanh().d3 == pytest.approx((1 - t * t) * (6 * t * t - 2), rel=1e-12)
+    t = math.tanh(x)
+    assert jet("tanh(rho)", x).d3 == pytest.approx((1 - t * t) * (6 * t * t - 2), rel=1e-12)
 
 
 def test_jet3_polynomials_exact():
@@ -118,22 +142,16 @@ def test_jet3_polynomials_exact():
     for _ in range(100):
         coeffs = random_poly(rng)
         x = float(rng.uniform(-1.5, 1.5))
-        var = Jet3.variable(x)
-        acc = Jet3.constant(0.0)
-        for k, c in enumerate(coeffs):
-            acc = acc + c * var**k
-        d1c = poly_derivative(coeffs)
-        d2c = poly_derivative(d1c)
-        d3c = poly_derivative(d2c)
-        assert acc.d3 == pytest.approx(poly_eval(d3c, x), rel=1e-13, abs=1e-12)
+        d3c = poly_derivative(poly_derivative(poly_derivative(coeffs)))
+        assert jet(poly_source(coeffs), x).d3 == pytest.approx(poly_eval(d3c, x), rel=1e-13, abs=1e-12)
 
 
 def test_jet3_quotient_and_product_consistency():
     rng = np.random.default_rng(11)
+    quotient_times_g = parse_shape("(sin(rho)+2)/(exp(rho)+rho)*(exp(rho)+rho)")
+    f = parse_shape("sin(rho)+2")
     for _ in range(50):
-        x = Jet3.variable(float(rng.uniform(0.5, 2.0)))
-        f = x.sin() + 2.0
-        g = x.exp() + x
-        prod = (f / g) * g
+        x = float(rng.uniform(0.5, 2.0))
+        prod, ref = eval_jet3(quotient_times_g, x), eval_jet3(f, x)
         for name in ("value", "d1", "d2", "d3"):
-            assert getattr(prod, name) == pytest.approx(getattr(f, name), rel=1e-12)
+            assert getattr(prod, name) == pytest.approx(getattr(ref, name), rel=1e-12)
