@@ -167,7 +167,9 @@ def _cmd_compare(ns):
     if ns.format == "csv":
         flat = [[form] + row for form, rows in blocks for row in rows]
         return emit((["formulation"] + header, flat), "csv", digits)
-    out = [f"alpha = {ns.alpha} ({alpha:.{digits}f})"]
+    # the ratio keeps at least 4 significant digits whatever --digits is
+    places = max(digits, 3 - math.floor(math.log10(alpha)))
+    out = [f"alpha = {ns.alpha} ({alpha:.{places}f})"]
     for formulation, rows in blocks:
         out.append("")
         out.append(formulation)

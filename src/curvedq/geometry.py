@@ -37,6 +37,10 @@ from .jets import each_pow
 from .shapes import ShapeDomainError, eval_jet2, eval_jet3
 
 
+# Frames a graph patch keeps, set by memory: about 350 B each, so 5.7 MB per patch.
+_FRAME_MEMO_CAP = 2**14
+
+
 class AxisSingularityError(ValueError):
     """The domain touches rho = 0 but the shape has a slope there."""
 
@@ -73,13 +77,15 @@ class MetricPatch:
     frame.  A 1-D array of w gives each field as its scalar calls stacked,
     bit for bit, so every function of w built from frames takes arrays too.
 
-    A graph patch keeps the frame of its last float w: consecutive reads at
-    the same float (with -0.0 apart from 0.0) share one Frame, so a
-    curvature sample, the momentum drifts and every operator coefficient
-    read there one after another run the shape kernel once.  The frame is
+    A graph patch keeps the frame of every float w it reads (with -0.0
+    apart from 0.0), up to a fixed number of frames; when full, the memo is
+    cleared before the next one goes in.  A curvature sample, the momentum
+    drifts and every operator coefficient read at one float, in any order
+    and in separate sweeps, thus run the shape kernel once.  The frame is
     the one a fresh patch returns, a frame that raises is not kept, and
-    arrays and numpy scalars are never memoised.  The memo is one tuple,
-    replaced in one assignment, so threads sharing a patch are safe.
+    arrays and numpy scalars are never memoised.  The memo is a dict whose
+    get, set and clear are each atomic, so threads sharing a patch are
+    safe; a race can only cost a recompute.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
@@ -182,17 +188,18 @@ def graph_metric_patch(shape, domain):
         raise AxisSingularityError(
             "rho = 0 lies in the domain but S_rho(0) != 0; the surface has a conical point"
         )
-    last = (None, None)  # (key, Frame) of the last float w
+    memo = {}  # (w, sign of w) -> Frame of every float w read, cleared when full
 
     def frame(w):
-        nonlocal last
         if type(w) is not float:
             return _graph_frame(shape, w)
         key = (w, math.copysign(1.0, w))
-        seen, fr = last
-        if seen != key:
+        fr = memo.get(key)
+        if fr is None:
             fr = _graph_frame(shape, w)
-            last = (key, fr)
+            if len(memo) >= _FRAME_MEMO_CAP:
+                memo.clear()
+            memo[key] = fr
         return fr
 
     return MetricPatch("rho", (lo, hi), "open", frame)

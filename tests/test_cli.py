@@ -351,6 +351,20 @@ def test_compare_golden_files(capsys):
         assert out == (GOLDEN / f"compare_{tag}.txt").read_text(encoding="utf-8")
 
 
+def test_compare_header_keeps_four_significant_digits_of_alpha(capsys):
+    fast = ["--nmax", "2", "--nquad", "16"]
+    for argv, want in (
+        (["--alpha", "0.3", "--digits", "0"], "alpha = 0.3 (0.3000)"),
+        (["--alpha", "1/2", "--digits", "0"], "alpha = 1/2 (0.5000)"),
+        (["--alpha", "1/3", "--digits", "6"], "alpha = 1/3 (0.333333)"),
+        (["--alpha", "0.00123456"], "alpha = 0.00123456 (0.001235)"),
+        (["--alpha", "1e-300"], "alpha = 1e-300 (0." + "0" * 299 + "1000)"),
+    ):
+        code, out, _ = _run(capsys, ["compare"] + argv + fast)
+        assert code == 0, argv
+        assert out.splitlines()[0] == want
+
+
 def test_compare_csv(capsys):
     code, out, _ = _run(capsys, ["compare", "--alpha", "1/2", "--format", "csv"])
     assert code == 0

@@ -5,8 +5,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import curvedq.geometry
 from curvedq.geometry import (
     AxisSingularityError,
     CurvatureSample,
@@ -241,7 +242,7 @@ def test_curvature_sample_refuses_non_finite_w_and_q():
                 assert (type(info.value), str(info.value)) == _first_error(patch, grid, q), (patch.label, w, q)
 
 
-# -- the graph patch's memo of its last scalar frame ---------------------------------
+# -- the graph patch's memo of the frames of its float reads ------------------------
 
 # flat caps on [0, 0.9]; sqrt(1-rho^2) also leaves its domain past rho = 1
 _FLAT_CAPS = ("1-rho^2", "sqrt(1-rho^2)")
@@ -268,6 +269,8 @@ def _scalar_reads(patch):
     return reads
 
 
+# the default cap, and caps small enough that a few reads fill the memo and clear it
+_MEMO_CAPS = (curvedq.geometry._FRAME_MEMO_CAP, 1, 2, 4)
 _READ_NAMES = sorted(_scalar_reads(graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9))))
 
 
@@ -287,15 +290,20 @@ def _outcome(read, w):
 @settings(max_examples=200, deadline=None)
 @given(
     source=st.sampled_from(_FLAT_CAPS),
-    visits=st.lists(st.tuples(_MEMO_POINTS, st.lists(st.sampled_from(_READ_NAMES), min_size=1, max_size=5)), max_size=6),
+    visits=st.lists(st.tuples(_MEMO_POINTS, st.lists(st.sampled_from(_READ_NAMES), min_size=1, max_size=5)), max_size=8),
+    cap=st.sampled_from(_MEMO_CAPS),
 )
-def test_graph_frame_memo_gives_a_fresh_patchs_results(source, visits):
+# seven floats fill a memo of 4 and clear it; the later rounds revisit each one after a clear
+@example(source="1-rho^2", visits=[(w, _READ_NAMES) for w in [0.0, -0.0, 0.1, 0.45, 0.8, 0.9, 1.5] * 3], cap=4)
+def test_graph_frame_memo_gives_a_fresh_patchs_results(source, visits, cap):
     shape = parse_shape(source)
-    shared = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
-    for w, names in visits:
-        for name in names:
-            fresh = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
-            assert _outcome(shared[name], w) == _outcome(fresh[name], w), (name, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvedq.geometry, "_FRAME_MEMO_CAP", cap)
+        shared = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
+        for w, names in visits:
+            for name in names:
+                fresh = _scalar_reads(graph_metric_patch(shape, (0.0, 0.9)))
+                assert _outcome(shared[name], w) == _outcome(fresh[name], w), (name, w)
 
 
 def test_graph_frame_memo_keeps_signed_zeros_input_types_and_errors():
@@ -321,29 +329,32 @@ def test_graph_frame_memo_keeps_signed_zeros_input_types_and_errors():
     assert repr(cap.frame(0.5)) == want
 
 
-def test_graph_frame_memo_under_threads():
+def test_graph_frame_memo_under_threads(monkeypatch):
     shape = parse_shape("0.3*rho^3+0.5*sin(rho)")
-    patch = graph_metric_patch(shape, (0.2, 1.8))
     points = np.linspace(0.2, 1.8, 17).tolist()
     want = {w: repr(graph_metric_patch(shape, (0.2, 1.8)).frame(w)) for w in points}
-    wrong = []
+    # at a cap of 4 the 17 points keep the memo filling and clearing, so clears race with reads
+    for cap in (curvedq.geometry._FRAME_MEMO_CAP, 4):
+        monkeypatch.setattr(curvedq.geometry, "_FRAME_MEMO_CAP", cap)
+        patch = graph_metric_patch(shape, (0.2, 1.8))
+        wrong = []
 
-    def reader(step):
-        for i in range(400):
-            w = points[(i * step) % len(points)]
-            for _ in range(2):
-                if repr(patch.frame(w)) != want[w]:
-                    wrong.append(w)
+        def reader(step):
+            for i in range(400):
+                w = points[(i * step) % len(points)]
+                for _ in range(2):
+                    if repr(patch.frame(w)) != want[w]:
+                        wrong.append(w)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(step,)) for step in (1, 3, 5, 7)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(step,)) for step in (1, 3, 5, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), cap
+        assert wrong == [], cap

@@ -76,7 +76,7 @@ def test_one_jet_walk_per_graph_frame(monkeypatch, jet3_calls):
 
 def test_one_jet_walk_per_scalar_point(jet3_calls):
     # a pointwise caller reads the curvature, both drifts and every coefficient
-    # of three operators at one float w: the patch keeps its last frame
+    # of three operators at one float w: the patch keeps the frame of every float
     patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
     p_w, _, p_q = hermitian_momenta(patch)
     pairs = (("laplacian", "sandwich"), ("hermitian", "left"), ("hermitian", "sandwich"))
@@ -90,6 +90,36 @@ def test_one_jet_walk_per_scalar_point(jet3_calls):
             for field in dataclasses.fields(coeffs):
                 getattr(coeffs, field.name)(w)
         assert jet3_calls == [w]
+
+
+def test_one_jet_walk_per_float_across_sweeps(jet3_calls):
+    # the curvature over a grid of floats, then one sweep per operator reading
+    # c2, c1 and c0: every float of the grid still costs one walk
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    pairs = (("laplacian", "sandwich"), ("hermitian", "left"), ("hermitian", "sandwich"))
+    ops = [surface_operator(patch, formulation, 1, ordering) for formulation, ordering in pairs]
+    grid = np.linspace(0.2, 1.8, 50).tolist()
+    for w in grid:
+        curvature_sample(patch, w)
+    for coeffs in ops:
+        for w in grid:
+            for read in (coeffs.c2, coeffs.c1, coeffs.c0):
+                read(w)
+    assert jet3_calls == grid
+
+
+def test_frame_memo_refills_after_its_cap_clears_it(monkeypatch, jet3_calls):
+    monkeypatch.setattr(curvedq.geometry, "_FRAME_MEMO_CAP", 4)
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    points = [0.3, 0.5, 0.7, 0.9]
+    for w in points * 2:
+        patch.frame(w)
+    assert jet3_calls == points  # four frames fit
+    jet3_calls.clear()
+    for w in (1.1, 1.1, 0.3, 0.3, 0.5):
+        patch.frame(w)
+    # 1.1 finds the memo full and clears it, so each revisit costs one walk again
+    assert jet3_calls == [1.1, 0.3, 0.5]
 
 
 def test_torus_poloidal_drift():
