@@ -56,18 +56,18 @@ def emit(payload, fmt, digits=_DEFAULT_DIGITS):
     """
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
+    if fmt not in ("csv", "table"):
+        raise UsageError(f"unknown format {fmt!r}")
     header, rows = payload
     if fmt == "csv":
         out = [",".join(header)]
         for row in rows:
             out.append(",".join(_cell(v, digits) for v in row))
         return "\n".join(out) + "\n"
-    if fmt == "table":
-        cells = [list(header)] + [[_cell(v, digits) for v in row] for row in rows]
-        widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
-        lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+    cells = [list(header)] + [[_cell(v, digits) for v in row] for row in rows]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
+    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
+    return "\n".join(lines) + "\n"
 
 
 def _cell(value, digits):
@@ -124,8 +124,8 @@ def _cmd_spectrum(ns):
     problem = torus.TorusProblem(
         alpha=ns.alpha, nu=ns.nu, formulation=ns.formulation, n_max=ns.nmax, n_quad=ns.nquad
     )
-    result = torus.solve_spectrum(problem)
-    entries = result.entries[: ns.states]
+    # the whole spectrum is ordered before the cut, so a degenerate pair at the cut is ordered whole
+    entries = sorted(torus.solve_spectrum(problem).entries, key=torus.listing_key)[: ns.states]
     if ns.format == "csv":
         width = max(len(e.coeffs) for e in entries)
         header = ["beta", "parity"] + [f"c{i}" for i in range(width)]

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .jets import each_pow
+from .jets import as_grid, each_pow
 from .shapes import ShapeDomainError, eval_jet2, eval_jet3
 
 
@@ -54,8 +54,9 @@ class Frame(NamedTuple):
 
     Shell factors a1, a2, principal curvatures k1, k2, and the first and
     second derivatives of the shell factors (the operator coefficients need
-    them).  Every patch frame also accepts a 1-D array of w; fields that do
-    not depend on w may then stay plain floats, which broadcast.
+    them).  Every patch frame also accepts a 1-D grid of w (jets.as_grid);
+    fields that do not depend on w may then stay plain floats, which
+    broadcast.
     """
 
     a1: float
@@ -74,8 +75,10 @@ class MetricPatch:
 
     `frame(w)` is a pure function of the coordinate w returning the Frame
     there; a caller that needs several fields at w reads them all from one
-    frame.  A 1-D array of w gives each field as its scalar calls stacked,
-    bit for bit, so every function of w built from frames takes arrays too.
+    frame.  w is a float or a 1-D grid, lists included, and anything else
+    is refused, by the one rule of jets.as_grid.  A grid gives each field as
+    its scalar calls stacked, bit for bit, so every function of w built
+    from frames takes grids too and refuses what the frame refuses.
 
     A graph patch keeps the frame of every float w it reads (with -0.0
     apart from 0.0), up to a fixed number of frames; when full, the memo is
@@ -140,12 +143,14 @@ def _slope_fields(s1, s2, s3, sqrt, pw):
 def _graph_frame(shape, rho):
     """Frame of the graph z = S(rho) at rho, from one third-order jet of S.
 
-    A 1-D array of rho reads one array jet and gives the scalar frames
+    A 1-D grid of rho reads one array jet and gives the scalar frames
     stacked, bit for bit.  Where that fails, the points go one at a time, so
     the error is the one the first bad rho raises alone.
     """
-    if type(rho) is not float and getattr(rho, "ndim", 0):
-        return _graph_frames(shape, np.array(rho, dtype=float))
+    if type(rho) is not float:
+        grid = as_grid(rho)
+        if grid is not None:
+            return _graph_frames(shape, grid)
     _, s1, s2, s3 = eval_jet3(shape, rho)
     z, dz, d2z, k1 = _slope_fields(s1, s2, s3, math.sqrt, pow)
     if rho == 0.0:
@@ -216,6 +221,10 @@ def torus_metric_patch(major_radius, minor_radius):
         raise ValueError(f"torus radii must be finite with 0 < a < R, got a={a}, R={R}")
 
     def frame(w):
+        if type(w) is not float:
+            grid = as_grid(w)
+            if grid is not None:
+                w = grid
         c, s = np.cos(w), np.sin(w)
         a2 = R + a * c
         return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)
@@ -228,20 +237,22 @@ def curvature_sample(patch, w, q=0.0):
 
     Raises ValueError for a non-finite w or q, and FocalSurfaceError when
     q reaches a focal distance (a shell factor 1 + q*k_i drops to zero or
-    below); the metric factorization is meaningless there.  A 1-D array of
-    w gives one CurvatureSample of arrays, the scalar samples stacked, from
-    one frame; where a point fails, the points go one at a time, so the
-    error is the first failing point's.
+    below); the metric factorization is meaningless there.  w is a float
+    or a 1-D grid, by the rule of jets.as_grid.  A grid gives one
+    CurvatureSample of arrays, the scalar samples stacked, from one frame;
+    where a point fails, the points go one at a time, so the error is the
+    first failing point's.
     """
-    if type(w) is not float and getattr(w, "ndim", 0):
-        w = np.array(w, dtype=float)
-        try:
-            return _curvature_table(patch, w, q)
-        except (ValueError, ArithmeticError):
-            for x in w.tolist():
-                curvature_sample(patch, x, q)
-            raise
-    w = float(w)
+    if type(w) is not float:
+        grid = as_grid(w)
+        if grid is not None:
+            try:
+                return _curvature_table(patch, grid, q)
+            except (ValueError, ArithmeticError):
+                for x in grid.tolist():
+                    curvature_sample(patch, x, q)
+                raise
+        w = float(w)
     if not (math.isfinite(w) and math.isfinite(q)):
         raise ValueError(f"curvature sample needs a finite w and q, got w={w}, q={q}")
     if patch.boundary == "open":

@@ -208,7 +208,10 @@ def _derivative_everywhere(b):
 
 
 def _each(fn):
-    """fn of math on a float, and on each element of an array: libm's rounding, not numpy's."""
+    """fn of math on a float, and on each element of an array: libm's rounding, not numpy's.
+
+    The float form serves the constant base of a power such as 2^rho, whose
+    logarithm the array rule takes."""
 
     def apply(x):
         if isinstance(x, float):
@@ -219,9 +222,7 @@ def _each(fn):
 
 
 def each_pow(x, e):
-    """x ** e by Python's pow, for a float x or each element of an array x."""
-    if isinstance(x, float):
-        return x**e
+    """x ** e by Python's pow, for each element of an array x."""
     return np.fromiter(map(pow, x.tolist(), repeat(e)), float, x.size)
 
 
@@ -234,6 +235,23 @@ ARRAY = _rules(SimpleNamespace(
     any=np.any, pow=each_pow, constant=_derivative_everywhere,
     **{name: _each(getattr(math, name)) for name in _FUNCTION_VALUES},
 ))
+
+
+def as_grid(x):
+    """The one rule by which every function of w (or rho) tells its two carriers apart.
+
+    A scalar (a float, a numpy scalar, a 0-d array) gives None, and the
+    caller evaluates it as a float.  A 1-D array or sequence, a list
+    included, gives a fresh 1-D float array: the grid.  Anything of more
+    dimensions raises ValueError.
+    """
+    ndim = np.ndim(x)
+    if ndim == 0:
+        return None
+    if ndim == 1:
+        return np.array(x, dtype=float)
+    raise ValueError(f"expected a float or a 1-D grid, got an array of shape {np.shape(x)}")
+
 
 FUNCTIONS = ("cos", "cosh", "exp", "ln", "sin", "sinh", "sqrt", "tan", "tanh")  # names of the function rules, sorted
 

@@ -247,7 +247,7 @@ def _values_and_slopes(fn, ws):
     """Values and first derivatives of the ShapeExpr fn at the points ws, from one array jet."""
     if not isinstance(fn, ShapeExpr):
         raise TypeError(f"test function must be a ShapeExpr, got {type(fn).__name__}")
-    jet = eval_jet2(fn, np.asarray(ws, dtype=float))
+    jet = eval_jet2(fn, ws)
     return jet.value, jet.d1
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import FUNCTIONS, Jet3
+from .jets import FUNCTIONS, Jet3, as_grid
 
 FUNCTION_NAMES = FUNCTIONS  # in this order: seeded test trees index into it
 
@@ -213,11 +213,6 @@ class _Parser:
     def fail(self, expected):
         kind, text, offset = self.peek()
         raise ShapeSyntaxError(offset, expected, None if kind == "end" else str(text))
-
-    def expect(self, kind, expected):
-        if self.peek()[0] != kind:
-            self.fail(expected)
-        return self.take()
 
     def expr(self):
         node = self.term()
@@ -433,13 +428,12 @@ def _check_finite(expr, jet, rho, count):
 
 
 def _array_jet(expr, rho, count):
-    """Jets of S at a 1-D array of rho, from one run of the array kernel.
+    """Jets of S at the 1-D float array rho, from one run of the array kernel.
 
     Where that run raises, or leaves a non-finite value in any of the four
     components, the points are evaluated again one at a time by the scalar
     kernel, which raises what the first offending rho raises alone.
     """
-    rho = np.array(rho, dtype=float)  # a copy: the value of a bare rho is this array
     try:
         with np.errstate(all="ignore"):
             jet = expr.array_kernel((rho, 1.0, 0.0, 0.0))
@@ -453,28 +447,32 @@ def _array_jet(expr, rho, count):
     return Jet3._make(np.array(rows, dtype=float).reshape(-1, 4).T.copy())
 
 
+def _eval_jet(expr, rho, count):
+    """The jet of S at rho with its first `count` components checked finite."""
+    if type(rho) is not float:
+        grid = as_grid(rho)
+        if grid is not None:
+            return _array_jet(expr, grid, count)  # a copy: the value of a bare rho is this array
+        rho = float(rho)
+    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, count)
+
+
 def eval_jet2(expr, rho):
     """Evaluate S at rho as a Jet3, checking only S, dS/drho and d2S/drho2.
 
     For callers that need no third derivative, so a non-finite d3 is not an
-    error here.  rho is a float, or a 1-D array whose jets come back as four
-    arrays: the scalar calls stacked, bit for bit, and the first failing
-    point's error.  It stays a function of its own, not an alias of
-    eval_jet3, so that wrappers installed by name (bench/spans.py) count the
-    two apart.
+    error here.  rho is a float or a 1-D grid, by the rule of jets.as_grid;
+    a grid's jets come back as four arrays: the scalar calls stacked, bit
+    for bit, and the first failing point's error.  It stays a function of
+    its own, not an alias of eval_jet3, so that wrappers installed by name
+    (bench/spans.py) count the two apart.
     """
-    if type(rho) is not float and getattr(rho, "ndim", 0):
-        return _array_jet(expr, rho, 3)
-    rho = float(rho)
-    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 3)
+    return _eval_jet(expr, rho, 3)
 
 
 def eval_jet3(expr, rho):
     """Evaluate (S, dS/drho, d2S/drho2, d3S/drho3) at rho, all checked finite.
 
-    rho is a float, or a 1-D array as for eval_jet2.
+    rho is a float or a 1-D grid, as for eval_jet2.
     """
-    if type(rho) is not float and getattr(rho, "ndim", 0):
-        return _array_jet(expr, rho, 4)
-    rho = float(rho)
-    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, 4)
+    return _eval_jet(expr, rho, 4)

@@ -240,9 +240,10 @@ def solve_spectrum(problem):
     Each half-density block is scaled by diag(S)^(-1/2) and diagonalized
     by LAPACK `eigh`; the states are mapped back to psi coefficients,
     orthonormalized under int |psi|^2 u dtheta and signed as in the module
-    docstring.  Entries are sorted by ascending beta; the two states of an
-    exactly degenerate pair (the hermitian nu = 0 ladder) come in rounding
-    order, and only `table_states` lists such a pair odd first.
+    docstring.  Entries are sorted by exactly ascending beta; the two
+    states of an exactly degenerate pair (the hermitian nu = 0 ladder) come
+    in rounding order.  The CLI and `table_states` list states by
+    `listing_key`, which puts such a pair odd first.
     """
     entries = []
     for parity in PARITIES:
@@ -279,18 +280,23 @@ def magic_alpha(nu, formulation):
     return 1.0 / math.sqrt(1.0 + 4.0 * nu * nu)
 
 
-def table_states(alpha, formulation, n_max=TorusProblem.n_max, n_quad=None):
-    """The three lowest states merged across nu = 0, 1 and 2, as SpectrumEntry.
+def listing_key(state):
+    """Sort key of a listed state: beta rounded to 1e-8, then odd parity first, then nu.
 
-    Numerically degenerate neighbors (beta equal after rounding to 1e-8,
-    e.g. the exactly degenerate even/odd pairs of the hermitian nu = 0
-    problem) are ordered odd parity first, matching the reference
-    presentation; the true splitting of such pairs is below solver
-    resolution, so within-pair order is a convention.
+    Numerically degenerate neighbors (e.g. the exactly degenerate even/odd
+    pairs of the hermitian nu = 0 problem) thus come odd parity first,
+    matching the reference presentation; the true splitting of such pairs
+    is below solver resolution, so within-pair order is a convention.
     """
+    return (round(state.beta, 8), 0 if state.parity == "odd" else 1, state.nu)
+
+
+def table_states(alpha, formulation, n_max=TorusProblem.n_max, n_quad=None):
+    """The three lowest states merged across nu = 0, 1 and 2, as SpectrumEntry,
+    in `listing_key` order."""
     states = []
     for nu in (0, 1, 2):
         # one state past the three listed, so a degenerate pair at the cut is ordered whole
         states += solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad)).entries[:4]
-    states.sort(key=lambda st: (round(st.beta, 8), 0 if st.parity == "odd" else 1, st.nu))
+    states.sort(key=listing_key)
     return states[:3]

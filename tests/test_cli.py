@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from curvedq.cli import build_parser, emit, run
+from curvedq.cli import UsageError, build_parser, emit, run
 from curvedq.torus import TorusProblem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,6 +59,30 @@ def test_spectrum_csv_header(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header.startswith("beta,parity,c0,c1,")
+
+
+def _listed_states(out, fmt):
+    """(beta, parity) of each state a spectrum output lists."""
+    if fmt == "json":
+        return [(s["beta"], s["parity"]) for s in json.loads(out)["states"]]
+    return [(float(line.split(",")[0]), line.split(",")[1]) for line in out.splitlines()[1:]]
+
+
+def test_spectrum_lists_every_degenerate_pair_odd_first(capsys):
+    argv = ["spectrum", "--alpha", "0.9", "--formulation", "hermitian"]
+    for fmt in ("json", "csv"):
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        states = _listed_states(out, fmt)
+        assert [beta for beta, _ in states] == [0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0, 16.0], fmt
+        assert [parity for _, parity in states[1:]] == ["odd", "even"] * 3 + ["odd"], fmt
+
+
+def test_spectrum_golden_file(capsys):
+    argv = ["spectrum", "--alpha", "0.9", "--formulation", "hermitian", "--format", "csv"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / "spectrum_hermitian_0_9.csv").read_text(encoding="utf-8")
 
 
 def test_spectrum_alpha_out_of_range(capsys):
@@ -153,6 +177,18 @@ def test_config_values_of_the_wrong_type_refused(tmp_path, capsys):
     cfg.write_text(json.dumps({"q": 0, "wmin": 0, "wmax": 1}), encoding="utf-8")
     code, out, _ = _run(capsys, ["curvature", "--torus", "3", "1", "--points", "2", "--config", str(cfg)])
     assert code == 0 and len(out.strip().splitlines()) == 3
+
+
+def test_config_that_is_not_a_readable_json_object_exits_1(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]", encoding="utf-8")
+    for path, message in (
+        (listed, "config must be a JSON object, got list"),
+        (tmp_path / "missing.json", "cannot read config"),
+    ):
+        code, out, err = _run(capsys, ["magic", "--nu", "1", "--config", str(path)])
+        assert (code, out) == (1, ""), path
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_config_format_outside_the_choices_refused(tmp_path, capsys):
@@ -321,6 +357,16 @@ def test_curvature_requires_a_surface(capsys):
     assert "usage" in err.lower()
 
 
+def test_curvature_refuses_a_half_given_or_missing_range(capsys):
+    for argv, message in (
+        (["--torus", "3", "1", "--wmin", "0.1"], "give both --wmin and --wmax, or neither"),
+        (["--shape", "rho"], "--wmin and --wmax are required for a shape-function surface"),
+    ):
+        code, out, err = _run(capsys, ["curvature"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert f"usage error: {message}" in err, argv
+
+
 def test_curvature_focal_error_exit_1(capsys):
     code, _, err = _run(capsys, ["curvature", "--torus", "3", "1", "--q", "-1"])
     assert code == 1
@@ -466,6 +512,12 @@ def test_emit_determinism():
     table = (["x", "y"], [[1.0, -2.345678], [3.0, 4.0]])
     assert emit(table, "csv", 3) == emit(table, "csv", 3)
     assert emit(table, "csv", 3) == "x,y\n1.000,-2.346\n3.000,4.000\n"
+
+
+def test_emit_refuses_an_unknown_format_before_reading_the_payload():
+    for payload in ({"a": 1}, (["x"], [[1.0]])):
+        with pytest.raises(UsageError, match="unknown format 'xml'"):
+            emit(payload, "xml")
 
 
 def test_emit_negative_zero_normalized():

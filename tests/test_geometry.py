@@ -74,6 +74,14 @@ def test_graph_patch_refuses_non_finite_domain():
             assert str(info.value).endswith(f"({domain[0]}, {domain[1]})")
 
 
+def test_graph_patch_refuses_empty_and_negative_domains():
+    shape = parse_shape("rho^2")
+    with pytest.raises(ValueError, match="empty rho domain"):
+        graph_metric_patch(shape, (1.0, 1.0))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        graph_metric_patch(shape, (-1.0, 1.0))
+
+
 def test_torus_patch_values():
     patch = torus_metric_patch(3.0, 1.0)
     assert patch.boundary == "periodic"

@@ -155,3 +155,17 @@ def test_jet3_quotient_and_product_consistency():
         prod, ref = eval_jet3(quotient_times_g, x), eval_jet3(f, x)
         for name in ("value", "d1", "d2", "d3"):
             assert getattr(prod, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+
+
+def test_as_grid_tells_a_scalar_from_a_grid_and_refuses_the_rest():
+    for scalar in (0.5, 2, np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        assert jets.as_grid(scalar) is None, type(scalar)
+    source = np.array([1, 2])
+    for grid in (source, [1.0, 2.0], (1, 2.0)):
+        got = jets.as_grid(grid)
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0]
+    assert not np.shares_memory(jets.as_grid(source.astype(float)), source)
+    for bad, shape in ((np.zeros((2, 3)), "(2, 3)"), ([[0.5]], "(1, 1)"), (np.zeros((1, 1, 2)), "(1, 1, 2)")):
+        with pytest.raises(ValueError) as info:
+            jets.as_grid(bad)
+        assert str(info.value) == f"expected a float or a 1-D grid, got an array of shape {shape}"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from curvedq.operators import (
     surface_operator,
 )
 from curvedq.cli import selfadjointness_defect
-from curvedq.shapes import ShapeDomainError, eval_jet2, parse_shape
+from curvedq.shapes import ShapeDomainError, eval_jet2, eval_jet3, parse_shape
 
 from _helpers import (
     per_node_hermiticity_residual,
@@ -310,6 +311,11 @@ def test_surface_operator_rejects_non_integer_nu():
     assert surface_operator(patch, "laplacian", -2.0).c0(0.7) == surface_operator(patch, "laplacian", 2).c0(0.7)
 
 
+def test_surface_operator_refuses_an_unknown_ordering():
+    with pytest.raises(ValueError, match="ordering must be one of"):
+        surface_operator(torus_metric_patch(3.0, 1.0), "hermitian", 0, ordering="middle")
+
+
 def test_torus_orderings_coincide():
     patch = torus_metric_patch(2.0, 0.9)
     left = surface_operator(patch, "hermitian", nu=1, ordering="left")
@@ -486,6 +492,60 @@ def test_hermiticity_residual_refuses_callable_test_functions():
     patch = torus_metric_patch(3.0, 1.0)
     with pytest.raises(TypeError, match="ShapeExpr"):
         hermiticity_residual(hermitian_momenta(patch)[0], patch, lambda x: x.sin(), parse_shape("1"))
+
+
+def test_hermiticity_residual_refuses_a_momentum_of_another_patch():
+    p_theta = hermitian_momenta(torus_metric_patch(3.0, 1.0))[0]
+    graph = graph_metric_patch(parse_shape("rho^2"), (0.2, 1.0))
+    bump = parse_shape("(rho-0.2)*(1-rho)")
+    with pytest.raises(ValueError, match="momentum coordinate 'theta' does not match patch 'rho'"):
+        hermiticity_residual(p_theta, graph, bump, bump)
+
+
+def _functions_of_w(patch):
+    """Every function of w a patch gives: its frame, its curvature sample,
+    the drifts of its w and normal momenta, and each operator coefficient."""
+    p_w, _, p_q = hermitian_momenta(patch)
+    coeffs = surface_operator(patch, "hermitian", 1)
+    return (
+        [patch.frame, functools.partial(curvature_sample, patch), p_w.drift, p_q.drift]
+        + [getattr(coeffs, field.name) for field in dataclasses.fields(coeffs)]
+    )
+
+
+def _fields(result):
+    """The arrays or floats a function of w returns, as a list."""
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, field.name) for field in dataclasses.fields(result)]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def test_every_function_of_w_refuses_an_array_of_two_dimensions():
+    block = np.full((2, 3), 0.5)
+    fns = [
+        functools.partial(evaluate, parse_shape(source))
+        for source in ("rho*rho", "sin(rho)", "rho^2")
+        for evaluate in (eval_jet2, eval_jet3)
+    ]
+    for patch, _ in _array_patches():
+        fns += _functions_of_w(patch)
+    for fn in fns:
+        with pytest.raises(ValueError) as info:
+            fn(block)
+        assert str(info.value) == "expected a float or a 1-D grid, got an array of shape (2, 3)", fn
+
+
+def test_a_list_of_floats_is_the_equal_grid_on_every_patch():
+    expr = parse_shape("sin(rho)+rho^3")
+    cases = [(functools.partial(evaluate, expr), np.linspace(0.1, 2.0, 9)) for evaluate in (eval_jet2, eval_jet3)]
+    for patch, grid in _array_patches():
+        inner = grid[grid > 0.0]  # the operators are singular on the axis
+        cases += [(fn, inner) for fn in _functions_of_w(patch)]
+    for fn, ws in cases:
+        got, want = _fields(fn(ws.tolist())), _fields(fn(ws))
+        assert len(got) == len(want), fn
+        for a, b in zip(got, want):
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), fn
 
 
 def test_cancellation_on_random_graph_shapes():

@@ -66,6 +66,18 @@ def test_unknown_identifier():
         parse_shape("foo(rho)")
 
 
+def test_malformed_sources_refused_at_their_offset():
+    for src, offset, expected, found in (
+        ("1.2.3", 0, ("a number",), "1.2.3"),
+        ("rho$2", 3, ("a number", "'rho'", "'pi'", "a function name", "an operator"), "$"),
+        ("(1+rho", 6, ("')'", "an operator"), None),
+        ("sin(rho", 7, ("')'", "an operator"), None),
+    ):
+        with pytest.raises(ShapeSyntaxError) as info:
+            parse_shape(src)
+        assert (info.value.offset, info.value.expected, info.value.found) == (offset, expected, found), src
+
+
 def test_function_requires_parenthesis():
     with pytest.raises(ShapeSyntaxError):
         parse_shape("sin + 1")

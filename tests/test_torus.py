@@ -14,6 +14,7 @@ from curvedq.torus import (
     assemble,
     fourier_block,
     jacobi_eigh,
+    listing_key,
     magic_alpha,
     overlap_analytic,
     solve_spectrum,
@@ -35,7 +36,14 @@ def test_problem_validation():
         TorusProblem(0.5, 0, "dirac")
     with pytest.raises(ValueError):
         TorusProblem(0.5, 0, "laplacian", n_max=24, n_quad=32)
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        TorusProblem(0.5, 0, "laplacian", n_max=1)
     assert TorusProblem(0.5, -3, "laplacian").nu == 3
+
+
+def test_fourier_block_refuses_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
+        fourier_block("both", 3, np.zeros(4))
 
 
 def test_alpha_whose_major_radius_overflows_is_refused():
@@ -372,6 +380,16 @@ def test_degenerate_pair_listed_odd_first():
     states = table_states(2.0 / 3.0, "hermitian")
     assert states[2].parity == "odd"
     assert states[2].basis == "sin"
+
+
+def test_listing_key_puts_degenerate_pairs_odd_first_and_keeps_solve_order_ascending():
+    entries = solve_spectrum(TorusProblem(0.9, 0, "hermitian")).entries
+    betas = [e.beta for e in entries]
+    assert betas == sorted(betas)
+    listed = sorted(entries, key=listing_key)
+    pairs = [(a, b) for a, b in zip(listed, listed[1:]) if round(a.beta, 8) == round(b.beta, 8)]
+    assert len(pairs) >= 4
+    assert all((a.parity, b.parity) == ("odd", "even") for a, b in pairs)
 
 
 def test_assembled_blocks_are_symmetric():
