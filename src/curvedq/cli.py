@@ -413,7 +413,7 @@ def run(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,6 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import curvature_potential, rescaling_factor
+from .jets import as_grid
 from .shapes import ShapeExpr, eval_jet2
 
 FORMULATIONS = ("laplacian", "hermitian")
@@ -98,8 +99,9 @@ def hermitian_momenta(patch):
     """Momenta (P_w, P_phi, P_q) Hermitian under the measure a1 a2 F, at q = 0.
 
     P_w.drift = (1/2)(a1'/a1 + a2'/a2); for a graph this is the
-    log-derivative form (1/2)(Z_rho/Z + 1/rho).  P_phi has no drift; the
-    normal momentum's drift at q = 0 is the mean curvature h.
+    log-derivative form (1/2)(Z_rho/Z + 1/rho).  P_phi has no drift: 0.0
+    at a float, zeros over a grid, by the rule of jets.as_grid.  The normal
+    momentum's drift at q = 0 is the mean curvature h.
     """
 
     def drift_w(w):
@@ -109,9 +111,16 @@ def hermitian_momenta(patch):
         fr = patch.frame(w)
         return 0.5 * (fr.k1 + fr.k2)
 
+    def drift_phi(w):
+        grid = as_grid(w)
+        if grid is None:
+            float(w)  # refuses a scalar that float() refuses
+            return 0.0
+        return np.zeros(grid.shape)
+
     return (
         MomentumOp(patch.label, drift_w),
-        MomentumOp("phi", lambda w: 0.0),
+        MomentumOp("phi", drift_phi),
         MomentumOp("q", drift_q),
     )
 

@@ -147,20 +147,13 @@ def assemble(problem, parity):
 
 def overlap_analytic(alpha, parity, n_max):
     """Closed-form overlap matrix; u couples only adjacent harmonics (tridiagonal)."""
-    if parity == "even":
-        n = n_max + 1
-        s = math.pi * np.eye(n)
-        s[0, 0] = 2.0 * math.pi
-        if n > 1:
-            s[0, 1] = s[1, 0] = math.pi * alpha
-        for m in range(1, n - 1):
-            s[m, m + 1] = s[m + 1, m] = 0.5 * math.pi * alpha
-    else:
-        n = n_max
-        s = math.pi * np.eye(n)
-        for m in range(0, n - 1):
-            s[m, m + 1] = s[m + 1, m] = 0.5 * math.pi * alpha
-    return s
+    even = parity == "even"
+    d = np.full(n_max + 1 if even else n_max, math.pi)
+    off = np.full(max(len(d) - 1, 0), 0.5 * math.pi * alpha)
+    if even:
+        d[0] = 2.0 * math.pi
+        off[:1] = math.pi * alpha
+    return np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def solve_triangular(a, b, lower=False):

@@ -150,7 +150,7 @@ def reduced_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
 
 
-def half_density_potential(alpha, nu, formulation):
+def half_density_potential(alpha, nu, formulation, c=None):
     """Hand-reduced potential Q(theta) = 2 v0 of the torus problem in half-density form.
 
     Minor radius 1, beta = 2 E, v = u^(1/2) psi with u = 1 + alpha cos(theta):
@@ -160,11 +160,13 @@ def half_density_potential(alpha, nu, formulation):
         hermitian:  Q = nu^2 alpha^2 / u^2,
 
     reduced by hand from the metric, independently of the operator pipeline.
+    The centrifugal coefficient c, nu^2 by default, may be given directly,
+    also where it has no real root nu (c = -1/4 is nu'^2 = nu^2 - 1/4 at nu = 0).
     """
     def q(theta):
         cos, sin = np.cos(theta), np.sin(theta)
         uu = 1.0 + alpha * cos
-        centrifugal = (nu * alpha / uu) ** 2
+        centrifugal = (nu * alpha / uu) ** 2 if c is None else c * (alpha / uu) ** 2
         if formulation == "hermitian":
             return centrifugal
         return centrifugal - 0.25 / (uu * uu) - alpha * cos / (2.0 * uu) - (alpha * sin / uu) ** 2 / 4.0
@@ -172,9 +174,10 @@ def half_density_potential(alpha, nu, formulation):
     return q
 
 
-def half_density_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
-    """H, S of the hand-reduced half-density problem by the periodic trapezoid rule."""
-    q = half_density_potential(alpha, nu, formulation)
+def half_density_weak_form(alpha, nu, formulation, parity, n_max, n_quad, c=None):
+    """H, S of the hand-reduced half-density problem by the periodic trapezoid
+    rule; c is half_density_potential's centrifugal coefficient."""
+    q = half_density_potential(alpha, nu, formulation, c)
     theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
     wq = 2.0 * math.pi / n_quad
     phi, dphi = fourier_block(parity, n_max, theta)

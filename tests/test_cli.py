@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvedq.cli import UsageError, build_parser, emit, run
@@ -377,6 +378,23 @@ def test_curvature_non_finite_literal_exit_1(capsys):
     code, out, err = _run(capsys, ["curvature", "--shape=1e400+rho^2", "--wmin", "0.2", "--wmax", "1"])
     assert code == 1 and out == ""
     assert err == "error: syntax error at offset 0: expected a finite number; found '1e400'\n"
+
+
+def test_solver_failure_exit_1(monkeypatch, capsys):
+    # LinAlgError is a ValueError, so the one handler of ValueError catches it
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    code, out, err = _run(capsys, ["spectrum", "--alpha", "0.5"])
+    assert (code, out) == (1, "")
+    assert err == "error: Eigenvalues did not converge\n"
+
+
+def test_shape_nested_past_the_recursion_limit_exit_1(capsys):
+    code, out, err = _run(capsys, ["curvature", "--shape=" + "(" * 3000 + "rho" + ")" * 3000, "--wmin", "0.2", "--wmax", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_curvature_golden_files(capsys):

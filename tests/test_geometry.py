@@ -277,7 +277,7 @@ def _scalar_reads(patch):
     return reads
 
 
-# the default cap, and caps small enough that a few reads fill the memo and clear it
+# the default cap, and caps small enough that a few reads fill the memo and push frames out
 _MEMO_CAPS = (curvedq.geometry._FRAME_MEMO_CAP, 1, 2, 4)
 _READ_NAMES = sorted(_scalar_reads(graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9))))
 
@@ -301,7 +301,7 @@ def _outcome(read, w):
     visits=st.lists(st.tuples(_MEMO_POINTS, st.lists(st.sampled_from(_READ_NAMES), min_size=1, max_size=5)), max_size=8),
     cap=st.sampled_from(_MEMO_CAPS),
 )
-# seven floats fill a memo of 4 and clear it; the later rounds revisit each one after a clear
+# seven floats overflow a memo of 4; the later rounds revisit each one after its frame was dropped
 @example(source="1-rho^2", visits=[(w, _READ_NAMES) for w in [0.0, -0.0, 0.1, 0.45, 0.8, 0.9, 1.5] * 3], cap=4)
 def test_graph_frame_memo_gives_a_fresh_patchs_results(source, visits, cap):
     shape = parse_shape(source)
@@ -341,7 +341,7 @@ def test_graph_frame_memo_under_threads(monkeypatch):
     shape = parse_shape("0.3*rho^3+0.5*sin(rho)")
     points = np.linspace(0.2, 1.8, 17).tolist()
     want = {w: repr(graph_metric_patch(shape, (0.2, 1.8)).frame(w)) for w in points}
-    # at a cap of 4 the 17 points keep the memo filling and clearing, so clears race with reads
+    # at a cap of 4 the 17 points keep the memo full, so evictions race with reads
     for cap in (curvedq.geometry._FRAME_MEMO_CAP, 4):
         monkeypatch.setattr(curvedq.geometry, "_FRAME_MEMO_CAP", cap)
         patch = graph_metric_patch(shape, (0.2, 1.8))

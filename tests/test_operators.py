@@ -119,8 +119,20 @@ def test_frame_memo_refills_after_its_cap_clears_it(monkeypatch, jet3_calls):
     jet3_calls.clear()
     for w in (1.1, 1.1, 0.3, 0.3, 0.5):
         patch.frame(w)
-    # 1.1 finds the memo full and clears it, so each revisit costs one walk again
+    # 1.1 finds the memo full, and each float that comes back after its frame was dropped costs one walk again
     assert jet3_calls == [1.1, 0.3, 0.5]
+
+
+def test_frame_memo_drops_the_least_recently_read_frame(monkeypatch, jet3_calls):
+    monkeypatch.setattr(curvedq.geometry, "_FRAME_MEMO_CAP", 4)
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    for w in (0.3, 0.5, 0.7, 0.9):
+        patch.frame(w)
+    jet3_calls.clear()
+    for w in (0.3, 1.1, 0.3, 0.5):
+        patch.frame(w)
+    # reading 0.3 again makes 0.5 the least recent, so 1.1 pushes out 0.5 and 0.3 stays
+    assert jet3_calls == [1.1, 0.5]
 
 
 def test_torus_poloidal_drift():
@@ -133,6 +145,16 @@ def test_torus_poloidal_drift():
         ref = -alpha * math.sin(theta) / (2.0 * (1.0 + alpha * math.cos(theta)))
         assert p_theta.drift(theta) == pytest.approx(ref, abs=1e-15)
     assert p_phi.drift(1.0) == 0.0
+
+
+def test_azimuthal_drift_is_zeros_of_the_grids_shape():
+    # a 2-D array is refused with every other function of w, below
+    _, p_phi, _ = hermitian_momenta(torus_metric_patch(3.0, 1.0))
+    for grid in ([0.1, 0.5], np.linspace(0.1, 0.8, 7), np.zeros(0)):
+        drift = p_phi.drift(grid)
+        assert type(drift) is np.ndarray and drift.shape == np.shape(grid) and not drift.any()
+    for scalar in (0.5, np.float64(0.5), np.array(0.5), 1):
+        assert type(p_phi.drift(scalar)) is float and p_phi.drift(scalar) == 0.0
 
 
 def test_flat_plane_drift_is_half_over_rho():
@@ -504,11 +526,11 @@ def test_hermiticity_residual_refuses_a_momentum_of_another_patch():
 
 def _functions_of_w(patch):
     """Every function of w a patch gives: its frame, its curvature sample,
-    the drifts of its w and normal momenta, and each operator coefficient."""
-    p_w, _, p_q = hermitian_momenta(patch)
+    the drifts of its three momenta, and each operator coefficient."""
+    p_w, p_phi, p_q = hermitian_momenta(patch)
     coeffs = surface_operator(patch, "hermitian", 1)
     return (
-        [patch.frame, functools.partial(curvature_sample, patch), p_w.drift, p_q.drift]
+        [patch.frame, functools.partial(curvature_sample, patch), p_w.drift, p_phi.drift, p_q.drift]
         + [getattr(coeffs, field.name) for field in dataclasses.fields(coeffs)]
     )
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
-from curvedq.operators import FORMULATIONS, surface_operator
+from curvedq.operators import FORMULATIONS, ORDERINGS, surface_operator
 from curvedq.torus import (
     PARITIES,
     TorusProblem,
@@ -22,7 +22,7 @@ from curvedq.torus import (
     table_states,
 )
 
-from _helpers import half_density_potential, reduced_torus_operator, reduced_weak_form
+from _helpers import half_density_potential, half_density_weak_form, reduced_torus_operator, reduced_weak_form
 
 
 def _torus_coeffs(alpha, nu, formulation):
@@ -452,3 +452,61 @@ def test_parity_blocks_match_full_basis_solve(config):
     full = np.sort(scipy.linalg.eigh(0.5 * (h + h.T), 0.5 * (s + s.T), eigvals_only=True))
     merged = [e.beta for e in solve_spectrum(TorusProblem(*config)).entries]
     assert np.max(np.abs(np.array(merged) - full)) <= 1e-10 * max(1.0, abs(full[-1]))
+
+
+# -- the route difference in closed form ---------------------------------------
+#
+# With unit minor radius, 2 (V_C + V_L) = -1/4 - alpha^2/(4 u^2): the laplacian
+# half-density potential is the hermitian one with nu^2 lowered by 1/4, minus 1/4.
+
+_ROUTE_ALPHAS = np.sort(np.random.default_rng(9).uniform(0.05, 0.95, 8)).tolist()
+
+
+def _block_betas(entries, parity):
+    return np.array([e.beta for e in entries if e.parity == parity])
+
+
+def test_laplacian_spectrum_is_the_hermitian_one_at_nu_squared_less_a_quarter():
+    # beta_lap(alpha, nu) = beta_herm(alpha, nu') - 1/4 with nu'^2 = nu^2 - 1/4,
+    # the hermitian block assembled by hand at the centrifugal coefficient nu'^2
+    for alpha in _ROUTE_ALPHAS:
+        for nu in range(4):
+            problem = TorusProblem(alpha, nu, "laplacian")
+            laplacian = solve_spectrum(problem).entries
+            for parity in PARITIES:
+                h, s = half_density_weak_form(
+                    alpha, nu, "hermitian", parity, problem.n_max, problem.n_quad, c=nu * nu - 0.25
+                )
+                scale = 1.0 / np.sqrt(np.diag(s))
+                shifted = np.linalg.eigvalsh(scale[:, None] * h * scale) - 0.25
+                assert np.max(np.abs(_block_betas(laplacian, parity) - shifted)) <= 1e-10, (alpha, nu, parity)
+
+
+def test_route_difference_lies_between_its_curvature_bounds():
+    # Hellmann-Feynman in c = nu'^2: d beta / dc = <alpha^2/u^2>, and u lies in
+    # [1 - alpha, 1 + alpha], so each state pair (nu, parity, index) is bounded
+    for alpha in _ROUTE_ALPHAS:
+        lower = 0.25 + alpha * alpha / (4.0 * (1.0 + alpha) ** 2)
+        upper = 0.25 + alpha * alpha / (4.0 * (1.0 - alpha) ** 2)
+        for nu in range(4):
+            laplacian = solve_spectrum(TorusProblem(alpha, nu, "laplacian")).entries
+            hermitian = solve_spectrum(TorusProblem(alpha, nu, "hermitian")).entries
+            for parity in PARITIES:
+                gap = _block_betas(hermitian, parity) - _block_betas(laplacian, parity)
+                assert lower <= gap.min() and gap.max() <= upper, (alpha, nu, parity)
+
+
+@pytest.mark.parametrize("major_radius", [1.05, 2.0, 3.0, 20.0])
+def test_route_difference_of_v0_is_profile_curvature_and_a_quarter_nu(major_radius):
+    # in arc length: V_C + V_L = -k1^2/8 - 1/(8 a2^2), pointwise, to rounding
+    # of the terms subtracted (the centrifugal term reaches 1800 at R = 1.05)
+    patch = torus_metric_patch(major_radius, 1.0)
+    theta = np.linspace(0.0, 2.0 * math.pi, 97)
+    fr = patch.frame(theta)
+    want = -fr.k1 * fr.k1 / 8.0 - 1.0 / (8.0 * fr.a2 * fr.a2)
+    for nu in range(4):
+        laplacian = surface_operator(patch, "laplacian", nu).v0(theta)
+        for ordering in ORDERINGS:
+            hermitian = surface_operator(patch, "hermitian", nu, ordering).v0(theta)
+            scale = 1.0 + np.abs(hermitian) + np.abs(want)
+            assert np.all(np.abs(laplacian - hermitian - want) <= 1e-14 * scale), (nu, ordering)
