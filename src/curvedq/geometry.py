@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .jets import as_grid, each_pow
-from .shapes import ShapeDomainError, eval_jet2, eval_jet3
+from .jets import each_pow, on_grid
+from .shapes import eval_jet2, eval_jet3
 
 
 # Frames a graph patch keeps, set by memory: about 404 B each (tracemalloc), so 6.6 MB per patch.
@@ -55,7 +55,7 @@ class Frame(NamedTuple):
 
     Shell factors a1, a2, principal curvatures k1, k2, and the first and
     second derivatives of the shell factors (the operator coefficients need
-    them).  Every patch frame also accepts a 1-D grid of w (jets.as_grid);
+    them).  Every patch frame also accepts a 1-D grid of w (jets.on_grid);
     fields that do not depend on w may then stay plain floats, which
     broadcast.
     """
@@ -76,10 +76,9 @@ class MetricPatch:
 
     `frame(w)` is a pure function of the coordinate w returning the Frame
     there; a caller that needs several fields at w reads them all from one
-    frame.  w is a float or a 1-D grid, lists included, and anything else
-    is refused, by the one rule of jets.as_grid.  A grid gives each field as
-    its scalar calls stacked, bit for bit, so every function of w built
-    from frames takes grids too and refuses what the frame refuses.
+    frame.  w is a float or a 1-D grid, lists included, by the one rule of
+    jets.on_grid: a grid gives each field as its scalar calls stacked, bit
+    for bit, or the first failing point's error.
 
     A graph patch keeps the frame of every float w it reads (with -0.0
     apart from 0.0) in a functools.lru_cache of a fixed size, which drops
@@ -141,16 +140,7 @@ def _slope_fields(s1, s2, s3, sqrt, pw):
 
 
 def _graph_frame(shape, rho):
-    """Frame of the graph z = S(rho) at rho, from one third-order jet of S.
-
-    A 1-D grid of rho reads one array jet and gives the scalar frames
-    stacked, bit for bit.  Where that fails, the points go one at a time, so
-    the error is the one the first bad rho raises alone.
-    """
-    if type(rho) is not float:
-        grid = as_grid(rho)
-        if grid is not None:
-            return _graph_frames(shape, grid)
+    """Frame of the graph z = S(rho) at a scalar rho, from one third-order jet of S."""
     _, s1, s2, s3 = eval_jet3(shape, rho)
     z, dz, d2z, k1 = _slope_fields(s1, s2, s3, math.sqrt, pow)
     if rho == 0.0:
@@ -162,16 +152,12 @@ def _graph_frame(shape, rho):
 
 
 def _graph_frames(shape, rho):
-    try:
-        _, s1, s2, s3 = eval_jet3(shape, rho)
-        with np.errstate(all="ignore"):
-            # numpy's sqrt is correctly rounded like math.sqrt; its pow is not like libm's
-            z, dz, d2z, k1 = _slope_fields(s1, s2, s3, np.sqrt, each_pow)
-            k2 = np.where(rho == 0.0, -s2 / z, -s1 / (rho * z))
-    except (ShapeDomainError, OverflowError):
-        for r in rho.tolist():
-            _graph_frame(shape, r)
-        raise
+    """The frames of _graph_frame at each point of the 1-D array rho, from one array jet."""
+    _, s1, s2, s3 = eval_jet3(shape, rho)
+    # numpy's sqrt is correctly rounded like math.sqrt; its pow is not like libm's
+    z, dz, d2z, k1 = _slope_fields(s1, s2, s3, np.sqrt, each_pow)
+    axis = rho == 0.0
+    k2 = np.where(axis, -s2 / z, -s1 / (np.where(axis, 1.0, rho) * z))
     return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
 
 
@@ -197,9 +183,9 @@ def graph_metric_patch(shape, domain):
     kept = functools.lru_cache(maxsize=_FRAME_MEMO_CAP)(lambda w, sign: _graph_frame(shape, w))
 
     def frame(w):
-        if type(w) is not float:
-            return _graph_frame(shape, w)
-        return kept(w, math.copysign(1.0, w))
+        if type(w) is float:
+            return kept(w, math.copysign(1.0, w))
+        return on_grid(w, lambda x: _graph_frame(shape, x), lambda grid: _graph_frames(shape, grid))
 
     return MetricPatch("rho", (lo, hi), "open", frame)
 
@@ -215,15 +201,11 @@ def torus_metric_patch(major_radius, minor_radius):
         raise ValueError(f"torus radii must be finite with 0 < a < R, got a={a}, R={R}")
 
     def frame(w):
-        if type(w) is not float:
-            grid = as_grid(w)
-            if grid is not None:
-                w = grid
         c, s = np.cos(w), np.sin(w)
         a2 = R + a * c
         return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)
 
-    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", frame)
+    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", lambda w: on_grid(w, frame, frame))
 
 
 def curvature_sample(patch, w, q=0.0):
@@ -232,21 +214,12 @@ def curvature_sample(patch, w, q=0.0):
     Raises ValueError for a non-finite w or q, and FocalSurfaceError when
     q reaches a focal distance (a shell factor 1 + q*k_i drops to zero or
     below); the metric factorization is meaningless there.  w is a float
-    or a 1-D grid, by the rule of jets.as_grid.  A grid gives one
-    CurvatureSample of arrays, the scalar samples stacked, from one frame;
-    where a point fails, the points go one at a time, so the error is the
-    first failing point's.
+    or a 1-D grid, by the rule of jets.on_grid: a grid gives one
+    CurvatureSample of arrays, the scalar samples stacked, from one frame,
+    or the first failing point's error.
     """
     if type(w) is not float:
-        grid = as_grid(w)
-        if grid is not None:
-            try:
-                return _curvature_table(patch, grid, q)
-            except (ValueError, ArithmeticError):
-                for x in grid.tolist():
-                    curvature_sample(patch, x, q)
-                raise
-        w = float(w)
+        return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: _curvature_table(patch, ws, q))
     if not (math.isfinite(w) and math.isfinite(q)):
         raise ValueError(f"curvature sample needs a finite w and q, got w={w}, q={q}")
     if patch.boundary == "open":
@@ -285,9 +258,8 @@ def _curvature_table(patch, w, q):
         raise ValueError("coordinate outside the patch domain")
     fr = patch.frame(w)
     z, k1, k2 = (np.array(np.broadcast_to(x, w.shape), dtype=float) for x in (fr.a1, fr.k1, fr.k2))
-    with np.errstate(all="ignore"):
-        if np.any((1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)):
-            raise FocalSurfaceError("offset q reaches the focal surface")
-        h = mean_curvature(k1, k2)
-        k = gaussian_curvature(k1, k2)
-        return CurvatureSample(w, z, k1, k2, h, k, curvature_potential(k1, k2), rescaling_factor(h, k, q))
+    if np.any((1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)):
+        raise FocalSurfaceError("offset q reaches the focal surface")
+    h = mean_curvature(k1, k2)
+    k = gaussian_curvature(k1, k2)
+    return CurvatureSample(w, z, k1, k2, h, k, curvature_potential(k1, k2), rescaling_factor(h, k, q))

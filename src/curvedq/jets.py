@@ -16,8 +16,9 @@ libm (exp, ln, tan, the hyperbolics and x**3 in 0.3-30% of draws); a guard
 fires when it fires at any point; and where one rule does not hold at every
 point (power at an exponent without derivative) the array primitive raises.
 So an ARRAY rule returns the SCALAR results stacked, bit for bit, or raises,
-or leaves a non-finite component where a scalar division by zero would have
-raised; shapes.py then evaluates the points one at a time.
+or leaves a non-finite component, which shapes.py turns into a raise; then
+on_grid, the one float-or-grid rule of every function of w, evaluates the
+points one at a time.
 
 The compiled shape kernels of shapes.py are the one route to these rules:
 they call them on plain tuples, and eval_jet2 and eval_jet3 return the
@@ -28,6 +29,7 @@ Shape evaluation and the curvatures read the first two derivatives, and the
 second derivative of the slope factor Z of a graph reads the third.
 """
 
+import dataclasses
 import math
 from itertools import repeat
 from types import SimpleNamespace
@@ -238,19 +240,44 @@ ARRAY = _rules(SimpleNamespace(
 
 
 def as_grid(x):
-    """The one rule by which every function of w (or rho) tells its two carriers apart.
-
-    A scalar (a float, a numpy scalar, a 0-d array) gives None, and the
-    caller evaluates it as a float.  A 1-D array or sequence, a list
-    included, gives a fresh 1-D float array: the grid.  Anything of more
-    dimensions raises ValueError.
-    """
+    """How on_grid tells its carriers apart: None for a scalar (a float, a numpy
+    scalar, a 0-d array), a fresh 1-D float array for a 1-D array or sequence,
+    a list included, and ValueError for anything of more dimensions."""
     ndim = np.ndim(x)
     if ndim == 0:
         return None
     if ndim == 1:
         return np.array(x, dtype=float)
     raise ValueError(f"expected a float or a 1-D grid, got an array of shape {np.shape(x)}")
+
+
+def on_grid(w, scalar, array):
+    """The one rule by which every function of w (or rho) takes a float or a grid.
+
+    A scalar w goes to scalar(w) as given, a grid (as_grid) to array(grid)
+    with numpy raising on division by zero and invalid values and, as Python
+    floats do, ignoring overflow and underflow.  Where that raises ValueError
+    or ArithmeticError, the points go to scalar in order, so the first
+    failing point raises its own error, else their results come back stacked:
+    an array, or a named tuple or dataclass of arrays.  array must raise
+    wherever it would not return what the scalar calls give.
+    """
+    grid = as_grid(w)
+    if grid is None:
+        return scalar(w)
+    try:
+        with np.errstate(all="ignore", divide="raise", invalid="raise"):
+            return array(grid)
+    except (ValueError, ArithmeticError):
+        if not grid.size:
+            raise
+        rows = [scalar(x) for x in grid.tolist()]
+    first = rows[0]
+    if isinstance(first, tuple):
+        return first._make(np.array(rows, dtype=float).T.copy())
+    if dataclasses.is_dataclass(first):
+        return type(first)(*np.array([dataclasses.astuple(r) for r in rows], dtype=float).T.copy())
+    return np.array(rows, dtype=float)
 
 
 FUNCTIONS = ("cos", "cosh", "exp", "ln", "sin", "sinh", "sqrt", "tan", "tanh")  # names of the function rules, sorted

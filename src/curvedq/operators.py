@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import curvature_potential, rescaling_factor
-from .jets import as_grid
+from .jets import on_grid
 from .shapes import ShapeExpr, eval_jet2
 
 FORMULATIONS = ("laplacian", "hermitian")
@@ -72,7 +72,8 @@ class BoundaryCompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class MomentumOp:
-    """First-order operator P = -i (d/dw + drift(w)); drift takes a float or a 1-D array of w."""
+    """First-order operator P = -i (d/dw + drift(w)); drift takes a float or a
+    1-D grid of w by the rule of jets.on_grid."""
 
     label: str
     drift: Callable
@@ -85,7 +86,9 @@ class OperatorCoeffs:
     v0 is the zero-order term of the same operator in half-density form,
     W^(1/2) H W^(-1/2) = c2 d^2/dw^2 + (c1 - 2 c2 gamma) d/dw + v0 on the
     flat measure dw, which is (c2 v')' + v0 v for the self-adjoint operators.
-    Each callable takes a float or a 1-D array of w.
+    Each callable takes a float or a 1-D grid of w by the rule of
+    jets.on_grid, so a grid that holds a point the float call refuses (the
+    axis of a graph patch, say) raises that point's error.
     """
 
     c2: Callable
@@ -100,29 +103,41 @@ def hermitian_momenta(patch):
 
     P_w.drift = (1/2)(a1'/a1 + a2'/a2); for a graph this is the
     log-derivative form (1/2)(Z_rho/Z + 1/rho).  P_phi has no drift: 0.0
-    at a float, zeros over a grid, by the rule of jets.as_grid.  The normal
+    at a scalar, zeros over a grid, by the rule of jets.on_grid.  The normal
     momentum's drift at q = 0 is the mean curvature h.
     """
 
-    def drift_w(w):
-        return _gamma(patch.frame(w))
+    def drift_w(fr):
+        return 0.5 * (fr.d_a1 / fr.a1 + fr.d_a2 / fr.a2)
 
-    def drift_q(w):
-        fr = patch.frame(w)
+    def drift_q(fr):
         return 0.5 * (fr.k1 + fr.k2)
 
-    def drift_phi(w):
-        grid = as_grid(w)
-        if grid is None:
-            float(w)  # refuses a scalar that float() refuses
-            return 0.0
-        return np.zeros(grid.shape)
-
     return (
-        MomentumOp(patch.label, drift_w),
-        MomentumOp("phi", drift_phi),
-        MomentumOp("q", drift_q),
+        MomentumOp(patch.label, _of_w(patch, drift_w)),
+        MomentumOp("phi", lambda w: on_grid(w, _no_drift, np.zeros_like)),
+        MomentumOp("q", _of_w(patch, drift_q)),
     )
+
+
+def _no_drift(w):
+    float(w)  # refuses a scalar that float() refuses
+    return 0.0
+
+
+def _of_w(patch, of_frame):
+    """of_frame, a function of a Frame, as a function of w by the rule of jets.on_grid."""
+    frame = patch.frame
+
+    def at(w):
+        return of_frame(frame(w))
+
+    def of_w(w):
+        if type(w) is float:
+            return of_frame(frame(w))
+        return on_grid(w, at, at)
+
+    return of_w
 
 
 def normal_momentum_sq_coeffs(h, k, q=0.0):
@@ -188,59 +203,47 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     nu = abs(integer("nu", nu))
     left = formulation == "hermitian" and ordering == "left"
+    laplacian = formulation == "laplacian"
 
-    def kinetic(fr):
-        """b = 1/a1^2, the slope b' that enters the operator, and gamma."""
+    # functions of a Frame, written out rather than built from helpers: pointwise callers read
+    # thousands per sweep; products, not powers: numpy's array pow rounds unlike the scalar one
+    def c2(fr):
         a1 = fr.a1
-        # products, not powers, here and in centrifugal: numpy's array pow rounds unlike the scalar one
+        return -0.5 / (a1 * a1)
+
+    def c1(fr):
+        a1 = fr.a1
+        b = 1.0 / (a1 * a1)
         db = 0.0 if left else -2.0 * fr.d_a1 / (a1 * a1 * a1)
-        return 1.0 / (a1 * a1), db, _gamma(fr)
+        g = 0.5 * (fr.d_a1 / a1 + fr.d_a2 / fr.a2)
+        return -0.5 * (db + 2.0 * b * g)
 
     def liouville(fr):
         """V_L, the zero-order term the kinetic operator leaves in half-density form."""
-        b, db, g = kinetic(fr)
-        return 0.5 * (db * g + b * _dgamma(fr) + b * g * g)
+        a1, a2 = fr.a1, fr.a2
+        b = 1.0 / (a1 * a1)
+        db = 0.0 if left else -2.0 * fr.d_a1 / (a1 * a1 * a1)
+        r1, r2 = fr.d_a1 / a1, fr.d_a2 / a2
+        g = 0.5 * (r1 + r2)
+        dg = 0.5 * (fr.d2_a1 / a1 - r1 * r1 + fr.d2_a2 / a2 - r2 * r2)
+        return 0.5 * (db * g + b * dg + b * g * g)
 
-    def centrifugal(fr):
+    def c0(fr):
         r = nu / fr.a2
+        if laplacian:
+            return 0.5 * (r * r) + curvature_potential(fr.k1, fr.k2)
+        return 0.5 * (r * r) - liouville(fr)
+
+    def v0(fr):
+        r = nu / fr.a2
+        if laplacian:
+            return 0.5 * (r * r) + curvature_potential(fr.k1, fr.k2) + liouville(fr)
         return 0.5 * (r * r)
 
-    def c2(w):
-        a1 = patch.frame(w).a1
-        return -0.5 / (a1 * a1)
-
-    def c1(w):
-        b, db, g = kinetic(patch.frame(w))
-        return -0.5 * (db + 2.0 * b * g)
-
-    def c0(w):
-        fr = patch.frame(w)
-        if formulation == "laplacian":
-            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2)
-        return centrifugal(fr) - liouville(fr)
-
-    def v0(w):
-        fr = patch.frame(w)
-        if formulation == "laplacian":
-            return centrifugal(fr) + curvature_potential(fr.k1, fr.k2) + liouville(fr)
-        return centrifugal(fr)
-
-    def weight(w):
-        fr = patch.frame(w)
+    def weight(fr):
         return fr.a1 * fr.a2
 
-    return OperatorCoeffs(c2=c2, c1=c1, c0=c0, weight=weight, v0=v0)
-
-
-def _gamma(fr):
-    """Drift (1/2)(a1'/a1 + a2'/a2) of the surface momentum along w."""
-    return 0.5 * (fr.d_a1 / fr.a1 + fr.d_a2 / fr.a2)
-
-
-def _dgamma(fr):
-    """w-derivative of _gamma."""
-    r1, r2 = fr.d_a1 / fr.a1, fr.d_a2 / fr.a2
-    return 0.5 * (fr.d2_a1 / fr.a1 - r1 * r1 + fr.d2_a2 / fr.a2 - r2 * r2)
+    return OperatorCoeffs(*(_of_w(patch, fn) for fn in (c2, c1, c0, weight, v0)))
 
 
 @functools.lru_cache(maxsize=8)

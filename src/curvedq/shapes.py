@@ -23,7 +23,7 @@ directly, one over the SCALAR rules for a float rho and one over the ARRAY
 rules for a 1-D array of rho.  Literals and pi are captured as constant
 tuples, and a subtree free of rho is folded to its jet by the scalar rules,
 so both kernels hold the same constants.  A '^' whose exponent folds to a
-constant c gets power's rule for c, with the integer test and the falling
+jet (c, 0, 0, 0) gets power's rule for c, with the integer test and the falling
 factorials c (c-1) ... decided at compile time.  Evaluating a shape runs a
 kernel, so no evaluation dispatches on node types or allocates per node
 beyond the tuples the rules return.
@@ -31,9 +31,9 @@ beyond the tuples the rules return.
 Only '/', '^' and function calls can leave their domain; in the scalar
 kernel each of those nodes reports the failure as a ShapeDomainError naming
 itself and the rho it was evaluated at.  The array kernel reports nothing:
-where it raises, or leaves a non-finite component, the points are evaluated
-again one at a time by the scalar kernel, so an array of rho gets the same
-error as a loop over its points, for the first offending rho.
+where it raises, or leaves a non-finite component, jets.on_grid evaluates
+the points again one at a time by the scalar kernel, so an array of rho gets
+the same error as a loop over its points, for the first offending rho.
 """
 
 import math
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import FUNCTIONS, Jet3, as_grid
+from .jets import FUNCTIONS, Jet3, on_grid
 
 FUNCTION_NAMES = FUNCTIONS  # in this order: seeded test trees index into it
 
@@ -397,7 +397,8 @@ def _compile(node, rules, report):
 
     Children are compiled, and so evaluated, left to right, so the first
     failing subexpression is the one a walk of the tree would meet first.  A
-    '^' with an exponent free of rho gets power's rule for that exponent.
+    '^' whose exponent folds to a jet with no derivative gets power's rule for
+    its value, as power itself would choose at each evaluation.
     """
     if isinstance(node, Num):
         return (node.value, 0.0, 0.0, 0.0)
@@ -409,7 +410,7 @@ def _compile(node, rules, report):
         return _apply(rules, report, "neg", node, [_compile(node.arg, rules, report)])
     if isinstance(node, BinOp):
         left, right = _compile(node.left, rules, report), _compile(node.right, rules, report)
-        if node.op == "^" and callable(left) and not callable(right):
+        if node.op == "^" and callable(left) and not callable(right) and jets._no_derivative(right):
             try:
                 rule = rules.power_rule(right[0])
             except _DOMAIN_ERRORS:
@@ -428,42 +429,30 @@ def _check_finite(expr, jet, rho, count):
 
 
 def _array_jet(expr, rho, count):
-    """Jets of S at the 1-D float array rho, from one run of the array kernel.
-
-    Where that run raises, or leaves a non-finite value in any of the four
-    components, the points are evaluated again one at a time by the scalar
-    kernel, which raises what the first offending rho raises alone.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            jet = expr.array_kernel((rho, 1.0, 0.0, 0.0))
-    except _DOMAIN_ERRORS:
-        pass
-    else:
-        columns = [c if isinstance(c, np.ndarray) else np.full(rho.shape, c) for c in jet]
-        if all(np.isfinite(c).all() for c in columns):
-            return Jet3._make(columns)
-    rows = [_check_finite(expr, expr.kernel((r, 1.0, 0.0, 0.0)), r, count) for r in rho.tolist()]
-    return Jet3._make(np.array(rows, dtype=float).reshape(-1, 4).T.copy())
+    """Jets of S at the 1-D float array rho, from one run of the array kernel;
+    FloatingPointError where it leaves a non-finite value in any of the four
+    components, so that on_grid evaluates the points one at a time."""
+    jet = expr.array_kernel((rho, 1.0, 0.0, 0.0))  # the value of a bare rho is rho, on_grid's fresh copy
+    columns = [c if isinstance(c, np.ndarray) else np.full(rho.shape, c) for c in jet]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise FloatingPointError("non-finite jet component")
+    return Jet3._make(columns)
 
 
 def _eval_jet(expr, rho, count):
     """The jet of S at rho with its first `count` components checked finite."""
-    if type(rho) is not float:
-        grid = as_grid(rho)
-        if grid is not None:
-            return _array_jet(expr, grid, count)  # a copy: the value of a bare rho is this array
-        rho = float(rho)
-    return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, count)
+    if type(rho) is float:
+        return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, count)
+    return on_grid(rho, lambda r: _eval_jet(expr, float(r), count), lambda grid: _array_jet(expr, grid, count))
 
 
 def eval_jet2(expr, rho):
     """Evaluate S at rho as a Jet3, checking only S, dS/drho and d2S/drho2.
 
     For callers that need no third derivative, so a non-finite d3 is not an
-    error here.  rho is a float or a 1-D grid, by the rule of jets.as_grid;
-    a grid's jets come back as four arrays: the scalar calls stacked, bit
-    for bit, and the first failing point's error.  It stays a function of
+    error here.  rho is a float or a 1-D grid, by the rule of jets.on_grid:
+    a grid's jets come back as four arrays, the scalar calls stacked, bit
+    for bit, or the first failing point's error.  It stays a function of
     its own, not an alias of eval_jet3, so that wrappers installed by name
     (bench/spans.py) count the two apart.
     """

@@ -169,3 +169,29 @@ def test_as_grid_tells_a_scalar_from_a_grid_and_refuses_the_rest():
         with pytest.raises(ValueError) as info:
             jets.as_grid(bad)
         assert str(info.value) == f"expected a float or a 1-D grid, got an array of shape {shape}"
+
+
+def test_on_grid_replays_the_points_where_the_array_path_raises():
+    def inverse(x):
+        return 1.0 / x
+
+    def jet(x):
+        return Jet3(x, 1.0 / x, 0.0, 0.0)
+
+    assert jets.on_grid(np.float64(2.0), type, inverse) is np.float64  # a scalar goes as given
+    assert jets.on_grid([1.0, 4.0], inverse, inverse).tolist() == [1.0, 0.25]
+    # numpy raises on the division by zero, and the float 0.0 raises its own error
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        jets.on_grid([1.0, 0.0], inverse, inverse)
+    assert jets.on_grid(np.zeros(0), inverse, inverse).shape == (0,)
+    # where only the array path raises, the scalar results come back stacked
+    refused = np.array([0.5, 2.0])
+
+    def refuse(grid):
+        raise ValueError("refused")
+
+    assert jets.on_grid(refused, inverse, refuse).tolist() == [2.0, 0.5]
+    stacked = jets.on_grid(refused, jet, refuse)
+    assert type(stacked) is Jet3 and [c.tolist() for c in stacked] == [[0.5, 2.0], [2.0, 0.5], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="refused"):
+        jets.on_grid(np.zeros(0), inverse, refuse)  # no point to replay

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,41 @@ def test_array_frame_names_the_first_offending_rho():
         patch.frame(np.array([0.5, 1.9, 2.5, 3.0]))
     assert info.value.rho == 2.5
     assert "sqrt" in str(info.value)
+
+
+def test_a_grid_through_the_axis_raises_what_the_float_on_the_axis_raises():
+    # the operators are singular on the axis: every coefficient and drift that
+    # refuses the float 0.0 refuses a grid holding it, with that error and no
+    # RuntimeWarning; the rest give the float calls stacked
+    patch = graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9))
+    grid = [0.5, 0.0, 0.7]
+    fns = {f"P_{op.label}": op.drift for op in hermitian_momenta(patch)}
+    for formulation in FORMULATIONS:
+        for ordering in ORDERINGS:
+            coeffs = surface_operator(patch, formulation, 1, ordering)
+            for field in dataclasses.fields(coeffs):
+                fns[f"{formulation}/{ordering}/{field.name}"] = getattr(coeffs, field.name)
+    refused = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, fn in fns.items():
+            try:
+                want = np.array([fn(w) for w in grid])
+            except ZeroDivisionError as exc:
+                refused.add(name)
+                with pytest.raises(ZeroDivisionError) as info:
+                    fn(np.array(grid))
+                assert str(info.value) == str(exc), name
+            else:
+                assert np.asarray(fn(np.array(grid))).tobytes() == want.tobytes(), name
+            empty = fn(np.zeros(0))
+            assert type(empty) is np.ndarray and empty.shape == (0,), name
+    assert refused == {"P_rho"} | {
+        f"{formulation}/{ordering}/{field}"
+        for formulation in FORMULATIONS
+        for ordering in ORDERINGS
+        for field in ("c1", "c0", "v0")
+    }
 
 
 def test_hermiticity_residual_matches_the_per_node_sum():
