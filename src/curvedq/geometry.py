@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .jets import each_pow, on_grid
-from .shapes import eval_jet2, eval_jet3
+from .shapes import ShapeDomainError, eval_jet2, eval_jet3
 
 
 # Frames a graph patch keeps, set by memory: about 404 B each (tracemalloc), so 6.6 MB per patch.
@@ -78,26 +78,29 @@ class MetricPatch:
     there; a caller that needs several fields at w reads them all from one
     frame.  w is a float or a 1-D grid, lists included, by the one rule of
     jets.on_grid: a grid gives each field as its scalar calls stacked, bit
-    for bit, or the first failing point's error.
+    for bit, or the first failing point's error.  `float_frame(w)` is
+    frame(w) for a Python float w other than 0.0 and -0.0, with no dispatch.
 
-    A graph patch keeps the frame of every float w it reads (with -0.0
-    apart from 0.0) in a functools.lru_cache of a fixed size, which drops
-    the least recently read frame when full.  A curvature sample, the
-    momentum drifts and every operator coefficient read at one float, in
-    any order and in separate sweeps, thus run the shape kernel once.  The
-    frame is the one a fresh patch returns, a frame that raises is not
-    kept, and arrays and numpy scalars are never kept.  Threads may share
-    a patch: the cache is thread-safe, and a race only costs a recompute.
+    A graph patch keeps the frame of every such float w it reads in a
+    functools.lru_cache of a fixed size, keyed on w alone, which drops the
+    least recently read frame when full; float_frame is that cache.  The
+    frames at 0.0 and -0.0 are never kept, so each sign builds its own.  A
+    curvature sample, the momentum drifts and every operator coefficient
+    read at one float, in any order and in separate sweeps, thus run the
+    shape kernel once.  The frame is the one a fresh patch returns, a frame
+    that raises is not kept, and arrays and numpy scalars are never kept.
+    Threads may share a patch: the cache is thread-safe, and a race only
+    costs a recompute.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
     domain: tuple
     boundary: str                   # "periodic" | "open"
     frame: Callable
+    float_frame: Callable
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """Pointwise curvature data; z is a1(w) (the slope factor Z for graphs)."""
 
     w: float
@@ -140,15 +143,22 @@ def _slope_fields(s1, s2, s3, sqrt, pw):
 
 
 def _graph_frame(shape, rho):
-    """Frame of the graph z = S(rho) at a scalar rho, from one third-order jet of S."""
+    """Frame of the graph z = S(rho) at a scalar rho, from one third-order jet of S;
+    ShapeDomainError where a field is not finite or a power overflows."""
     _, s1, s2, s3 = eval_jet3(shape, rho)
-    z, dz, d2z, k1 = _slope_fields(s1, s2, s3, math.sqrt, pow)
+    try:
+        z, dz, d2z, k1 = _slope_fields(s1, s2, s3, math.sqrt, pow)
+    except OverflowError:  # pow of a finite float past the float range
+        raise ShapeDomainError("non-finite metric frame", str(shape), rho) from None
     if rho == 0.0:
         # axis limit with S_rho(0) = 0: S_rho/rho -> S_rhorho(0)
         k2 = -s2 / z
     else:
         k2 = -s1 / (rho * z)
-    return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
+    # zero times a finite float is a zero, times inf or nan a nan
+    if 0.0 * z * dz * d2z * k1 * k2 != 0.0:
+        raise ShapeDomainError("non-finite metric frame", str(shape), rho)
+    return tuple.__new__(Frame, (z, rho, k1, k2, dz, 1.0, d2z, 0.0))  # as Frame(...), without its Python-level __new__
 
 
 def _graph_frames(shape, rho):
@@ -158,6 +168,8 @@ def _graph_frames(shape, rho):
     z, dz, d2z, k1 = _slope_fields(s1, s2, s3, np.sqrt, each_pow)
     axis = rho == 0.0
     k2 = np.where(axis, -s2 / z, -s1 / (np.where(axis, 1.0, rho) * z))
+    if np.any(0.0 * z * dz * d2z * k1 * k2 != 0.0):
+        raise FloatingPointError("non-finite metric frame")
     return Frame(z, rho, k1, k2, dz, 1.0, d2z, 0.0)
 
 
@@ -179,15 +191,15 @@ def graph_metric_patch(shape, domain):
         raise AxisSingularityError(
             "rho = 0 lies in the domain but S_rho(0) != 0; the surface has a conical point"
         )
-    # keyed on the sign too, so -0.0 keeps a frame apart from 0.0
-    kept = functools.lru_cache(maxsize=_FRAME_MEMO_CAP)(lambda w, sign: _graph_frame(shape, w))
+    # keyed on w alone, so 0.0 and -0.0 would share a frame: frame() never keeps theirs
+    kept = functools.lru_cache(maxsize=_FRAME_MEMO_CAP)(functools.partial(_graph_frame, shape))
 
     def frame(w):
-        if type(w) is float:
-            return kept(w, math.copysign(1.0, w))
+        if type(w) is float and w:
+            return kept(w)
         return on_grid(w, lambda x: _graph_frame(shape, x), lambda grid: _graph_frames(shape, grid))
 
-    return MetricPatch("rho", (lo, hi), "open", frame)
+    return MetricPatch("rho", (lo, hi), "open", frame, kept)
 
 
 def torus_metric_patch(major_radius, minor_radius):
@@ -205,7 +217,7 @@ def torus_metric_patch(major_radius, minor_radius):
         a2 = R + a * c
         return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)
 
-    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", lambda w: on_grid(w, frame, frame))
+    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", lambda w: on_grid(w, frame, frame), frame)
 
 
 def curvature_sample(patch, w, q=0.0):
@@ -216,7 +228,9 @@ def curvature_sample(patch, w, q=0.0):
     below); the metric factorization is meaningless there.  w is a float
     or a 1-D grid, by the rule of jets.on_grid: a grid gives one
     CurvatureSample of arrays, the scalar samples stacked, from one frame,
-    or the first failing point's error.
+    or the first failing point's error.  A float other than 0.0 and -0.0
+    reads its frame from patch.float_frame, the memo of a graph patch keyed
+    on w alone; the frame at either zero is built afresh on every read.
     """
     if type(w) is not float:
         return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: _curvature_table(patch, ws, q))
@@ -226,7 +240,7 @@ def curvature_sample(patch, w, q=0.0):
         lo, hi = patch.domain
         if not lo <= w <= hi:
             raise ValueError(f"coordinate {w} outside patch domain [{lo}, {hi}]")
-    fr = patch.frame(w)
+    fr = patch.float_frame(w) if w else patch.frame(w)
     k1 = float(fr.k1)
     k2 = float(fr.k2)
     shell1 = 1.0 + q * k1
@@ -235,18 +249,12 @@ def curvature_sample(patch, w, q=0.0):
         raise FocalSurfaceError(
             f"offset q={q} reaches the focal surface (shell factors {shell1:.3g}, {shell2:.3g})"
         )
-    h = mean_curvature(k1, k2)
-    k = gaussian_curvature(k1, k2)
-    return CurvatureSample(
-        w=w,
-        z=float(fr.a1),
-        k1=k1,
-        k2=k2,
-        h=h,
-        k=k,
-        vc=curvature_potential(k1, k2),
-        f=rescaling_factor(h, k, q),
-    )
+    # mean_curvature, gaussian_curvature, curvature_potential and rescaling_factor, written out;
+    # tuple.__new__ builds the named tuple without its Python-level __new__
+    h = 0.5 * (k1 + k2)
+    k = k1 * k2
+    d = 0.5 * (k1 - k2)
+    return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, -0.5 * d * d, 1.0 + 2.0 * q * h + q * q * k))
 
 
 def _curvature_table(patch, w, q):

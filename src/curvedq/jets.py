@@ -29,7 +29,6 @@ Shape evaluation and the curvatures read the first two derivatives, and the
 second derivative of the slope factor Z of a graph reads the third.
 """
 
-import dataclasses
 import math
 from itertools import repeat
 from types import SimpleNamespace
@@ -259,7 +258,7 @@ def on_grid(w, scalar, array):
     floats do, ignoring overflow and underflow.  Where that raises ValueError
     or ArithmeticError, the points go to scalar in order, so the first
     failing point raises its own error, else their results come back stacked:
-    an array, or a named tuple or dataclass of arrays.  array must raise
+    an array, or a named tuple of arrays.  array must raise
     wherever it would not return what the scalar calls give.
     """
     grid = as_grid(w)
@@ -275,8 +274,6 @@ def on_grid(w, scalar, array):
     first = rows[0]
     if isinstance(first, tuple):
         return first._make(np.array(rows, dtype=float).T.copy())
-    if dataclasses.is_dataclass(first):
-        return type(first)(*np.array([dataclasses.astuple(r) for r in rows], dtype=float).T.copy())
     return np.array(rows, dtype=float)
 
 

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import curvature_potential, rescaling_factor
+from .geometry import rescaling_factor
 from .jets import on_grid
 from .shapes import ShapeExpr, eval_jet2
 
@@ -73,10 +73,13 @@ class BoundaryCompatibilityError(ValueError):
 @dataclass(frozen=True)
 class MomentumOp:
     """First-order operator P = -i (d/dw + drift(w)); drift takes a float or a
-    1-D grid of w by the rule of jets.on_grid."""
+    1-D grid of w by the rule of jets.on_grid; a momentum of hermitian_momenta
+    also gives its patch and its drift as a function of a Frame, of_frame."""
 
     label: str
     drift: Callable
+    patch: object = None
+    of_frame: Callable = None
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,9 @@ def hermitian_momenta(patch):
         return 0.5 * (fr.k1 + fr.k2)
 
     return (
-        MomentumOp(patch.label, _of_w(patch, drift_w)),
+        MomentumOp(patch.label, _of_w(patch, drift_w), patch, drift_w),
         MomentumOp("phi", lambda w: on_grid(w, _no_drift, np.zeros_like)),
-        MomentumOp("q", _of_w(patch, drift_q)),
+        MomentumOp("q", _of_w(patch, drift_q), patch, drift_q),
     )
 
 
@@ -126,15 +129,16 @@ def _no_drift(w):
 
 
 def _of_w(patch, of_frame):
-    """of_frame, a function of a Frame, as a function of w by the rule of jets.on_grid."""
-    frame = patch.frame
+    """of_frame, a function of a Frame, as a function of w by the rule of jets.on_grid;
+    a float other than 0.0 and -0.0 reads patch.float_frame, the memo of a graph patch."""
+    frame, float_frame = patch.frame, patch.float_frame
 
     def at(w):
         return of_frame(frame(w))
 
     def of_w(w):
-        if type(w) is float:
-            return of_frame(frame(w))
+        if type(w) is float and w:
+            return of_frame(float_frame(w))
         return on_grid(w, at, at)
 
     return of_w
@@ -161,8 +165,13 @@ def rescaling_potential(h, k, q=0.0):
 
 def cancellation_residual(h, k, q=0.0):
     """|rescaling term + zero-order term of -P_q^2|; identically zero in exact
-    arithmetic, so this measures rounding only."""
-    return abs(rescaling_potential(h, k, q) + normal_momentum_sq_coeffs(h, k, q)[2])
+    arithmetic, so this measures rounding only.  The two terms are those of
+    rescaling_potential and normal_momentum_sq_coeffs, written out with the
+    same expressions: a pointwise caller makes one call per sample."""
+    f = 1.0 + 2.0 * q * h + q * q * k
+    fp = 2.0 * (h + q * k)
+    g = (h + q * k) / f
+    return abs((0.25 * (fp / f) ** 2 - 0.5 * (2.0 * k) / f) + (k / f - g * g))
 
 
 def integer(name, value):
@@ -228,21 +237,25 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         dg = 0.5 * (fr.d2_a1 / a1 - r1 * r1 + fr.d2_a2 / a2 - r2 * r2)
         return 0.5 * (db * g + b * dg + b * g * g)
 
-    def c0(fr):
+    def c0_laplacian(fr):
         r = nu / fr.a2
-        if laplacian:
-            return 0.5 * (r * r) + curvature_potential(fr.k1, fr.k2)
+        d = 0.5 * (fr.k1 - fr.k2)  # curvature_potential, written out
+        return 0.5 * (r * r) + -0.5 * d * d
+
+    def c0_hermitian(fr):
+        r = nu / fr.a2
         return 0.5 * (r * r) - liouville(fr)
 
     def v0(fr):
-        r = nu / fr.a2
         if laplacian:
-            return 0.5 * (r * r) + curvature_potential(fr.k1, fr.k2) + liouville(fr)
+            return c0_laplacian(fr) + liouville(fr)
+        r = nu / fr.a2
         return 0.5 * (r * r)
 
     def weight(fr):
         return fr.a1 * fr.a2
 
+    c0 = c0_laplacian if laplacian else c0_hermitian
     return OperatorCoeffs(*(_of_w(patch, fn) for fn in (c2, c1, c0, weight, v0)))
 
 
@@ -267,10 +280,10 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
     """|<f, Pg> - <Pf, g>| under the surface measure a1 a2 dw at q = 0.
 
     f and g are real test functions given as ShapeExpr (the grammar variable
-    plays the role of w); the measure and the drift are each read in one
-    call on the whole grid.  On periodic patches the inner product uses the
-    periodic trapezoid rule; on open patches, Gauss-Legendre nodes, and f, g
-    must vanish at both endpoints.
+    plays the role of w); the measure is read in one call on the whole grid,
+    and the drift of a momentum of this patch off the same frame.  On
+    periodic patches the inner product uses the periodic trapezoid rule; on
+    open patches, Gauss-Legendre nodes, and f, g must vanish at both endpoints.
 
     For an azimuthal momentum (op.label "phi") the integral runs over one
     period of phi; the measure is phi-independent and drops out.
@@ -279,6 +292,7 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
         theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
         wq = 2.0 * math.pi / n_points
         measure = 1.0
+        drift = op.drift(theta)
     elif op.label == patch.label:
         lo, hi = patch.domain
         if patch.boundary == "periodic":
@@ -296,10 +310,11 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
             wq = 0.5 * (hi - lo) * gw
         fr = patch.frame(theta)
         measure = fr.a1 * fr.a2
+        drift = op.of_frame(fr) if op.patch is patch else op.drift(theta)
     else:
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
 
     fv, fs = _values_and_slopes(f, theta)
     gv, gs = _values_and_slopes(g, theta)
     # <f,Pg> - <Pf,g> = -i * integral of [(fg)' + 2*drift*fg] * measure
-    return abs(np.sum((fv * gs + fs * gv + 2.0 * op.drift(theta) * fv * gv) * measure * wq))
+    return abs(np.sum((fv * gs + fs * gv + 2.0 * drift * fv * gv) * measure * wq))

@@ -347,13 +347,14 @@ def _constant(jet):
 
 
 def _kernel(rule, a, b=None):
-    """Kernel applying rule to one or two compiled arguments, at most one constant."""
+    """Kernel applying rule to one or two compiled arguments, at most one constant;
+    a bare rho is the variable jet x itself, passed on with no call."""
     if b is None:
-        return lambda x: rule(a(x))
+        return rule if a is _variable else lambda x: rule(a(x))
     if not callable(a):
-        return lambda x: rule(a, b(x))
+        return (lambda x: rule(a, x)) if b is _variable else lambda x: rule(a, b(x))
     if not callable(b):
-        return lambda x: rule(a(x), b)
+        return (lambda x: rule(x, b)) if a is _variable else lambda x: rule(a(x), b)
     return lambda x: rule(a(x), b(x))
 
 
@@ -421,13 +422,6 @@ def _compile(node, rules, report):
     return _apply(rules, report, node.func, node, [_compile(node.arg, rules, report)])
 
 
-def _check_finite(expr, jet, rho, count):
-    for component in jet[:count]:
-        if not math.isfinite(component):
-            raise ShapeDomainError("non-finite result", format_expr(expr), rho)
-    return Jet3._make(jet)
-
-
 def _array_jet(expr, rho, count):
     """Jets of S at the 1-D float array rho, from one run of the array kernel;
     FloatingPointError where it leaves a non-finite value in any of the four
@@ -442,7 +436,11 @@ def _array_jet(expr, rho, count):
 def _eval_jet(expr, rho, count):
     """The jet of S at rho with its first `count` components checked finite."""
     if type(rho) is float:
-        return _check_finite(expr, expr.kernel((rho, 1.0, 0.0, 0.0)), rho, count)
+        jet = expr.kernel((rho, 1.0, 0.0, 0.0))
+        # zero times a finite float is a zero, times inf or nan a nan
+        if math.prod(jet[:count], start=0.0) == 0.0:
+            return tuple.__new__(Jet3, jet)  # Jet3._make without its Python-level length check
+        raise ShapeDomainError("non-finite result", format_expr(expr), rho)
     return on_grid(rho, lambda r: _eval_jet(expr, float(r), count), lambda grid: _array_jet(expr, grid, count))
 
 
@@ -464,4 +462,9 @@ def eval_jet3(expr, rho):
 
     rho is a float or a 1-D grid, as for eval_jet2.
     """
+    if type(rho) is float:  # _eval_jet's float path written out: a graph frame reads one per float
+        jet = expr.kernel((rho, 1.0, 0.0, 0.0))
+        s, s1, s2, s3 = jet
+        if 0.0 * s * s1 * s2 * s3 == 0.0:
+            return tuple.__new__(Jet3, jet)
     return _eval_jet(expr, rho, 4)

@@ -380,6 +380,16 @@ def test_curvature_non_finite_literal_exit_1(capsys):
     assert err == "error: syntax error at offset 0: expected a finite number; found '1e400'\n"
 
 
+def test_curvature_non_finite_frame_exit_1(capsys):
+    # the jet of 1e300*rho^2 is finite, but Z'' overflows at rho = 0 and Z past it
+    argv = ["curvature", "--shape", "1e300*rho^2", "--wmin", "0", "--wmax", "1", "--points", "3", "--format", "csv"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: non-finite metric frame in '1e+300*rho^2.0' at rho=0.0"
+    ]
+
+
 def test_solver_failure_exit_1(monkeypatch, capsys):
     # LinAlgError is a ValueError, so the one handler of ValueError catches it
     def refuse(*args, **kwargs):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -199,9 +200,9 @@ def test_curvature_sample_over_an_array_is_the_scalar_samples_stacked():
     for patch, grid, q in cases:
         table = curvature_sample(patch, grid, q)
         samples = [curvature_sample(patch, w, q) for w in grid.tolist()]
-        for field in dataclasses.fields(CurvatureSample):
-            want = np.array([getattr(s, field.name) for s in samples])
-            assert getattr(table, field.name).tobytes() == want.tobytes(), (patch.label, field.name)
+        for name in CurvatureSample._fields:
+            want = np.array([getattr(s, name) for s in samples])
+            assert getattr(table, name).tobytes() == want.tobytes(), (patch.label, name)
 
 
 def _first_error(patch, grid, q):
@@ -248,6 +249,33 @@ def test_curvature_sample_refuses_non_finite_w_and_q():
                 with pytest.raises(ValueError) as info:
                     curvature_sample(patch, np.array(grid), q)
                 assert (type(info.value), str(info.value)) == _first_error(patch, grid, q), (patch.label, w, q)
+
+
+def test_graph_frame_refuses_non_finite_fields():
+    # the jet of 1e300*rho^2 is finite, but Z'' overflows at rho = 0 and Z past it
+    source = "1e300*rho^2"
+    patch = graph_metric_patch(parse_shape(source), (0.0, 1.0))
+    weight = surface_operator(patch, "laplacian").weight
+    for rho in (0.0, -0.0, 0.5, 1.0):
+        want = f"non-finite metric frame in '{parse_shape(source)}' at rho={rho!r}"
+        for read in (patch.frame, weight, lambda w: curvature_sample(patch, w)):
+            for _ in range(2):  # a frame that raises is never kept
+                with pytest.raises(ShapeDomainError) as info:
+                    read(rho)
+                assert str(info.value) == want, (read, rho)
+    # (S' S'')^2 of 1e150*rho^2 overflows in pow past rho = 4e-147; its fields are finite below
+    fine = graph_metric_patch(parse_shape("1e150*rho^2"), (0.0, 1.0))
+    assert all(np.isfinite(field).all() for field in fine.frame(np.array([0.0, 1e-160])))
+    message = re.escape(f"non-finite metric frame in '{parse_shape('1e150*rho^2')}' at rho=0.5")
+    for rho in (0.5, np.array([1e-160, 0.5])):
+        with pytest.raises(ShapeDomainError, match=message):
+            fine.frame(rho)
+    # a grid raises from the array path, and on_grid gives the first failing point's error
+    for grid in ([0.5, 0.0, 0.7], [1.0, 0.5]):
+        message = f"non-finite metric frame in '{parse_shape(source)}' at rho={grid[0]!r}"
+        for read in (patch.frame, weight, lambda w: curvature_sample(patch, w)):
+            with pytest.raises(ShapeDomainError, match=re.escape(message)):
+                read(np.array(grid))
 
 
 # -- the graph patch's memo of the frames of its float reads ------------------------

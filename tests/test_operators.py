@@ -71,8 +71,8 @@ def test_one_jet_walk_per_graph_frame(monkeypatch, jet3_calls):
     jet2 = curvedq.operators.eval_jet2
     monkeypatch.setattr(curvedq.operators, "eval_jet2", lambda expr, rho: jet2_calls.append(rho) or jet2(expr, rho))
     f, g = parse_shape("(rho-0.2)*(1.8-rho)"), parse_shape("(rho-0.2)*(1.8-rho)*rho")
-    # the measure and the drift, then each test function at the ends and on the grid
-    assert walks(lambda _: hermiticity_residual(hermitian_momenta(patch)[0], patch, f, g), None) <= 2
+    # the measure's frame, which also gives the drift, then each test function at the ends and on the grid
+    assert walks(lambda _: hermiticity_residual(hermitian_momenta(patch)[0], patch, f, g), None) == 1
     assert len(jet2_calls) <= 4
 
 
@@ -134,6 +134,21 @@ def test_frame_memo_drops_the_least_recently_read_frame(monkeypatch, jet3_calls)
         patch.frame(w)
     # reading 0.3 again makes 0.5 the least recent, so 1.1 pushes out 0.5 and 0.3 stays
     assert jet3_calls == [1.1, 0.5]
+
+
+def test_frame_memo_keeps_no_frame_at_either_zero(jet3_calls):
+    # the memo is keyed on w alone, where 0.0 == -0.0: a frame at either zero is built on every read
+    patch = graph_metric_patch(parse_shape("1-rho^2+rho^3"), (0.0, 0.9))
+    weight = surface_operator(patch, "laplacian").weight
+    for _ in range(2):
+        for zero in (0.0, -0.0):
+            assert repr(patch.frame(zero).a2) == repr(zero) and repr(weight(zero)) == repr(zero)
+            assert repr(curvature_sample(patch, zero).w) == repr(zero)
+    assert [repr(rho) for rho in jet3_calls] == ["0.0"] * 3 + ["-0.0"] * 3 + ["0.0"] * 3 + ["-0.0"] * 3
+    jet3_calls.clear()
+    for _ in range(2):
+        patch.frame(0.5), weight(0.5), curvature_sample(patch, 0.5)
+    assert jet3_calls == [0.5]
 
 
 def test_torus_poloidal_drift():
@@ -539,7 +554,7 @@ def test_grid_checks_read_each_field_once_per_grid():
 
     torus = counted(torus_metric_patch(3.0, 1.0))
     hermiticity_residual(hermitian_momenta(torus)[0], torus, parse_shape("sin(rho)"), parse_shape("cos(rho)"))
-    assert calls == [1, 1]  # the measure and the drift
+    assert calls == [1]  # the measure, whose frame also gives the drift
     calls.clear()
     graph = counted(graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.2, 1.8)))
     selfadjointness_defect(graph, surface_operator(graph, "hermitian", 0), np.linspace(0.3, 1.7, 29))
