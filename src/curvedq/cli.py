@@ -9,10 +9,17 @@ Numeric flags accept exact fractions ("--alpha 1/3").
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
-import numpy as np
+# One BLAS thread: a process of this CLI solves blocks of a few dozen rows, where
+# OpenBLAS's second thread costs CPU and saves no time.  Left alone where numpy is
+# loaded already or the environment names a thread count.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from . import geometry, operators, torus
 from .shapes import parse_shape

@@ -223,12 +223,14 @@ def torus_metric_patch(major_radius, minor_radius):
 def curvature_sample(patch, w, q=0.0):
     """Curvatures, V_C and the rescaling factor F at (w, q).
 
-    Raises ValueError for a non-finite w or q, and FocalSurfaceError when
-    q reaches a focal distance (a shell factor 1 + q*k_i drops to zero or
-    below); the metric factorization is meaningless there.  w is a float
-    or a 1-D grid, by the rule of jets.on_grid: a grid gives one
-    CurvatureSample of arrays, the scalar samples stacked, from one frame,
-    or the first failing point's error.  A float other than 0.0 and -0.0
+    Raises ValueError for a non-finite w or q, or where a curvature, V_C or
+    F is not finite (V_C squares k1 - k2, which overflows past 1e154), and
+    FocalSurfaceError when q reaches a focal distance (a shell factor
+    1 + q*k_i drops to zero or below); the metric factorization is
+    meaningless there.  w is a float or a 1-D grid, by the rule of
+    jets.on_grid: a grid gives one CurvatureSample of arrays, the scalar
+    samples stacked, from one frame, or the first failing point's error.
+    A float other than 0.0 and -0.0
     reads its frame from patch.float_frame, the memo of a graph patch keyed
     on w alone; the frame at either zero is built afresh on every read.
     """
@@ -254,7 +256,10 @@ def curvature_sample(patch, w, q=0.0):
     h = 0.5 * (k1 + k2)
     k = k1 * k2
     d = 0.5 * (k1 - k2)
-    return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, -0.5 * d * d, 1.0 + 2.0 * q * h + q * q * k))
+    vc, f = -0.5 * d * d, 1.0 + 2.0 * q * h + q * q * k
+    if 0.0 * k1 * k2 * h * k * vc * f != 0.0:  # zero times a finite float is a zero, times inf or nan a nan
+        raise ValueError(f"non-finite curvature sample at {patch.label}={w!r}")
+    return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, vc, f))
 
 
 def _curvature_table(patch, w, q):
@@ -270,4 +275,7 @@ def _curvature_table(patch, w, q):
         raise FocalSurfaceError("offset q reaches the focal surface")
     h = mean_curvature(k1, k2)
     k = gaussian_curvature(k1, k2)
-    return CurvatureSample(w, z, k1, k2, h, k, curvature_potential(k1, k2), rescaling_factor(h, k, q))
+    vc, f = curvature_potential(k1, k2), rescaling_factor(h, k, q)
+    if np.any(0.0 * k1 * k2 * h * k * vc * f != 0.0):
+        raise FloatingPointError("non-finite curvature sample")
+    return CurvatureSample(w, z, k1, k2, h, k, vc, f)

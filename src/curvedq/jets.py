@@ -175,7 +175,11 @@ def _rules(lib):
         r = sqrt_(v)
         if any_(r == 0.0):
             raise ZeroDivisionError("derivative of sqrt at zero")
-        return _chain(a, r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+        if any_(a[1] != 0.0):
+            return _chain(a, r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+        # with no first derivative the last two factors are multiplied by zero: zeros of
+        # their signs stand in, as their denominators may underflow (v = 1e-200)
+        return _chain(a, r, 0.5 / r, -0.0, 0.0)
 
     def sinh(a):
         s, c = sinh_(a[0]), cosh_(a[0])

@@ -362,14 +362,20 @@ def _guard(kernel, node):
     """Report a failure of node's own rule as a ShapeDomainError at x's rho.
 
     A subexpression's failure arrives already reported and passes through.
+    An OverflowError, whose text is an errno tuple (Python's pow) or "math
+    range error", is reported by the node's name: "power overflows", "exp
+    overflows".
     """
+    overflow = f"{node.func if isinstance(node, Call) else 'power'} overflows"
+
     def guarded(x):
         try:
             return kernel(x)
         except ShapeDomainError:
             raise
         except _DOMAIN_ERRORS as exc:
-            raise ShapeDomainError(str(exc), _fmt(node, _LEVEL_ADD), x[0]) from None
+            reason = overflow if isinstance(exc, OverflowError) else str(exc)
+            raise ShapeDomainError(reason, _fmt(node, _LEVEL_ADD), x[0]) from None
 
     return guarded
 

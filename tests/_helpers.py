@@ -366,6 +366,8 @@ class WalkJet:
         if r == 0.0:
             raise ZeroDivisionError("derivative of sqrt at zero")
         v = self.value
+        if self.d1 == 0.0:  # the last two factors are multiplied by zero: a zero of their sign
+            return self._chain(r, 0.5 / r, -0.0, 0.0)
         return self._chain(r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
 
     def sinh(self):
@@ -380,6 +382,12 @@ class WalkJet:
         t = math.tanh(self.value)
         sech2 = 1.0 - t * t
         return self._chain(t, sech2, -2.0 * t * sech2, sech2 * (6.0 * t * t - 2.0))
+
+
+def _domain_error(exc, name, node, rho):
+    """The error of node's own rule; an overflow is reported by name, "exp overflows"."""
+    reason = f"{name} overflows" if isinstance(exc, OverflowError) else str(exc)
+    return ShapeDomainError(reason, format_expr(SimpleNamespace(root=node)), rho)
 
 
 def _walk(node, x, rho):
@@ -405,12 +413,12 @@ def _walk(node, x, rho):
                 return left / right
             return left**right
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ShapeDomainError(str(exc), format_expr(SimpleNamespace(root=node)), rho) from None
+            raise _domain_error(exc, "power", node, rho) from None
     arg = _walk(node.arg, x, rho)
     try:
         return getattr(arg, node.func)()
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ShapeDomainError(str(exc), format_expr(SimpleNamespace(root=node)), rho) from None
+        raise _domain_error(exc, node.func, node, rho) from None
 
 
 def tree_walk_jet(expr, rho, count=4):

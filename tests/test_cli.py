@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedq.cli import UsageError, build_parser, emit, run
+from curvedq.shapes import ShapeExpr, format_expr
 from curvedq.torus import TorusProblem
+
+from test_shapes import _shape_trees
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -405,6 +413,64 @@ def test_shape_nested_past_the_recursion_limit_exit_1(capsys):
     code, out, err = _run(capsys, ["curvature", "--shape=" + "(" * 3000 + "rho" + ")" * 3000, "--wmin", "0.2", "--wmax", "1"])
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_curvature_power_overflow_exit_1(capsys):
+    argv = ["curvature", "--shape", "(rho-cos(rho))^1e+20", "--wmin", "2.7", "--wmax", "3.2", "--points", "3"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: power overflows in '(rho-cos(rho))^1e+20' at rho=2.7"
+
+
+def test_curvature_non_finite_potential_exit_1(capsys):
+    # k1 = 1/a = 1e300: V_C = -((k1 - k2)/2)^2/2 overflows to -inf
+    code, out, err = _run(capsys, ["curvature", "--torus", "1", "1e-300", "--points", "2"])
+    assert (code, out, err) == (1, "", "error: non-finite curvature sample at theta=0.0\n")
+
+
+def test_curvature_of_a_tiny_sqrt_shift_is_the_cone(capsys):
+    outputs = []
+    for shape in ("rho", "rho+sqrt(1e-200)", "rho+sqrt(1e-100)"):
+        code, out, _ = _run(capsys, ["curvature", f"--shape={shape}", "--wmin", "0.5", "--wmax", "1", "--points", "3"])
+        assert code == 0, shape
+        outputs.append(out)
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
+def _printed_numbers(out, fmt):
+    if fmt == "json":
+        payload = json.loads(out)
+        return [payload["q"]] + [v for sample in payload["samples"] for v in sample.values()]
+    cells = [line.split("," if fmt == "csv" else None) for line in out.splitlines()[1:]]
+    return [float(cell) for row in cells for cell in row]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=_shape_trees(4),
+    wmin=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 1e-150)),  # V_C overflows near the axis
+    width=st.floats(0.0, 4.0),
+    points=st.integers(1, 5),
+    q=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    fmt=st.sampled_from(("csv", "json", "table")),
+)
+def test_curvature_fuzz_prints_finite_numbers_or_one_error_line(tree, wmin, width, points, q, fmt):
+    """Aim 3's contract over the shape grammar: a table of finite numbers, or exit 1 and one error line."""
+    argv = [
+        "curvature", f"--shape={format_expr(ShapeExpr(tree))}", f"--wmin={wmin!r}", f"--wmax={wmin + width!r}",
+        "--points", str(points), f"--q={q!r}", "--format", fmt,
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    if code == 0:
+        numbers = _printed_numbers(out.getvalue(), fmt)
+        assert len(numbers) == (8 * points + (fmt == "json")) and all(map(math.isfinite, numbers)), argv
+        assert errors == [], argv
+    else:
+        assert (code, out.getvalue(), len(errors)) == (1, "", 1), (argv, err.getvalue())
 
 
 def test_curvature_golden_files(capsys):

@@ -278,6 +278,25 @@ def test_graph_frame_refuses_non_finite_fields():
                 read(np.array(grid))
 
 
+def test_curvature_sample_refuses_non_finite_values():
+    # finite frames whose k1 - k2 passes 1e154, so V_C = -((k1 - k2)/2)^2/2 overflows:
+    # the cone rho at rho = 1e-180 (k2 = -1/(sqrt(2) rho)) and a torus of minor radius 1e-300
+    cone = graph_metric_patch(parse_shape("rho"), (1e-200, 1.0))
+    torus = torus_metric_patch(1.0, 1e-300)
+    for patch, w in ((cone, 1e-180), (torus, 0.0), (torus, 2.0)):
+        want = f"non-finite curvature sample at {patch.label}={w!r}"
+        assert all(math.isfinite(field) for field in patch.frame(w))
+        for at in (w, np.array([w, 0.5])):  # a grid gives its first failing point's error
+            with pytest.raises(ValueError, match=re.escape(want)):
+                curvature_sample(patch, at)
+    with pytest.raises(ValueError, match="non-finite curvature sample at rho=1e-180"):
+        curvature_sample(cone, np.array([0.5, 1e-180]))
+    # a q that overflows F but not V_C
+    with pytest.raises(ValueError, match="non-finite curvature sample at rho=0.5"):
+        curvature_sample(graph_metric_patch(parse_shape("rho^2"), (0.0, 1.0)), 0.5, -1e200)
+    assert -math.inf < curvature_sample(cone, 1e-150).vc < -1e298
+
+
 # -- the graph patch's memo of the frames of its float reads ------------------------
 
 # flat caps on [0, 0.9]; sqrt(1-rho^2) also leaves its domain past rho = 1

@@ -137,6 +137,8 @@ def test_roundtrip_idempotent_on_cases():
         "-(-rho)",
         "(1+2)*rho",
         "1-(2-3)",
+        "rho+sqrt(1e-200)",
+        "rho+sqrt(1e-100)",
     ]
     for src in cases:
         once = format_expr(parse_shape(src))
@@ -204,6 +206,36 @@ def test_domain_errors():
         eval_jet2(parse_shape("(-2)^0.5"), 1.0)
     with pytest.raises(ShapeDomainError):
         eval_jet2(parse_shape("exp(rho)"), 1000.0)  # overflow is a domain error
+
+
+def test_overflow_is_reported_by_the_name_of_its_node():
+    # Python's pow raises OverflowError(34, 'Numerical result out of range'), libm's exp
+    # and the hyperbolics "math range error"
+    for src, rho, reason in (
+        ("(rho-cos(rho))^1e+20", 2.7, "power overflows"),
+        ("2^rho", 2000.0, "power overflows"),
+        ("rho^rho", 500.0, "power overflows"),
+        ("exp(rho)", 1000.0, "exp overflows"),
+        ("1+cosh(rho)", -1000.0, "cosh overflows"),
+    ):
+        expr = parse_shape(src)
+        for evaluate, at in ((eval_jet2, rho), (eval_jet3, rho), (eval_jet3, np.array([1.0, rho]))):
+            with pytest.raises(ShapeDomainError) as info:
+                evaluate(expr, at)
+            assert (info.value.reason, info.value.rho) == (reason, rho), src
+    assert str(info.value) == "cosh overflows in 'cosh(rho)' at rho=-1000.0"
+
+
+def test_sqrt_of_a_tiny_constant_is_smooth():
+    # sqrt's d2 and d3 factors divide by r*v and r*v*v, which underflow to 0 at
+    # v = 1e-200; an argument with no derivative multiplies both by zero, so they
+    # are skipped and the shape is the line rho + 1e-100
+    for src, shift in (("rho+sqrt(1e-200)", 1e-100), ("rho+sqrt(1e-100)", 1e-50)):
+        expr = parse_shape(src)
+        for rho in (0.5, 0.75, 1.0):
+            assert eval_jet3(expr, rho) == (rho + shift, 1.0, 0.0, 0.0)
+        _assert_array_is_stacked_scalar(expr, [0.5, 0.75, 1.0])
+    assert eval_jet3(parse_shape("sqrt(1e-200)"), 0.5) == (1e-100, 0.0, 0.0, 0.0)
 
 
 def test_eval_jet3_matches_jet2_and_adds_third_order():
