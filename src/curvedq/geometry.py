@@ -38,7 +38,7 @@ from .jets import each_pow, on_grid
 from .shapes import ShapeDomainError, eval_jet2, eval_jet3
 
 
-# Frames a graph patch keeps, set by memory: about 404 B each (tracemalloc), so 6.6 MB per patch.
+# Frames a patch keeps, set by memory: about 404 B each (tracemalloc), so 6.6 MB per patch.
 _FRAME_MEMO_CAP = 2**14
 
 
@@ -74,30 +74,55 @@ class Frame(NamedTuple):
 class MetricPatch:
     """One-coordinate family of metric data for an axially symmetric surface.
 
-    `frame(w)` is a pure function of the coordinate w returning the Frame
-    there; a caller that needs several fields at w reads them all from one
-    frame.  w is a float or a 1-D grid, lists included, by the one rule of
-    jets.on_grid: a grid gives each field as its scalar calls stacked, bit
-    for bit, or the first failing point's error.  `float_frame(w)` is
-    frame(w) for a Python float w other than 0.0 and -0.0, with no dispatch.
+    Built from two builders: point(w), the Frame at a Python float w, and
+    grid(ws), the frames at a 1-D float array, the point frames stacked bit
+    for bit, or raising where they would differ.  frame(w) takes a float or
+    a 1-D grid, lists included, by the one rule of jets.on_grid, and
+    lift(of_frame) makes a function of a Frame a function of w by the same
+    rule; a caller that needs several fields at w reads them off one frame.
 
-    A graph patch keeps the frame of every such float w it reads in a
-    functools.lru_cache of a fixed size, keyed on w alone, which drops the
-    least recently read frame when full; float_frame is that cache.  The
-    frames at 0.0 and -0.0 are never kept, so each sign builds its own.  A
-    curvature sample, the momentum drifts and every operator coefficient
-    read at one float, in any order and in separate sweeps, thus run the
-    shape kernel once.  The frame is the one a fresh patch returns, a frame
-    that raises is not kept, and arrays and numpy scalars are never kept.
-    Threads may share a patch: the cache is thread-safe, and a race only
-    costs a recompute.
+    The patch keeps the frame of every float w other than 0.0 and -0.0 it
+    reads in a functools.lru_cache of a fixed size, keyed on w alone, which
+    drops the least recently read frame when full; each zero builds its own
+    frame on every read.  A curvature sample, the drifts and every operator
+    coefficient read at one float, in any order and in separate sweeps, thus
+    build one frame, the one a fresh patch returns.  A frame that raises is
+    not kept, nor are those of arrays and numpy scalars.  The cache wraps
+    point when the patch is built, so dataclasses.replace(patch, point=...)
+    starts an empty one.  Threads may share a patch: the cache is
+    thread-safe, and a race only costs a recompute.
     """
 
     label: str                      # "rho" for graphs, "theta" for the torus
     domain: tuple
     boundary: str                   # "periodic" | "open"
-    frame: Callable
-    float_frame: Callable
+    point: Callable
+    grid: Callable
+
+    def __post_init__(self):
+        # keyed on w alone, so 0.0 and -0.0 would share a frame: frame() never keeps theirs
+        object.__setattr__(self, "_kept", functools.lru_cache(maxsize=_FRAME_MEMO_CAP)(self.point))
+
+    def frame(self, w):
+        """The Frame at w, a float or a 1-D grid."""
+        if type(w) is float and w:
+            return self._kept(w)
+        return on_grid(w, self.point, self.grid)
+
+    def lift(self, of_frame):
+        """of_frame, a function of a Frame, as a function of w by the rule of
+        jets.on_grid; a float other than 0.0 and -0.0 reads the kept frame."""
+        kept, frame = self._kept, self.frame
+
+        def at(w):
+            return of_frame(frame(w))
+
+        def of_w(w):
+            if type(w) is float and w:
+                return of_frame(kept(w))
+            return on_grid(w, at, at)
+
+        return of_w
 
 
 class CurvatureSample(NamedTuple):
@@ -191,15 +216,9 @@ def graph_metric_patch(shape, domain):
         raise AxisSingularityError(
             "rho = 0 lies in the domain but S_rho(0) != 0; the surface has a conical point"
         )
-    # keyed on w alone, so 0.0 and -0.0 would share a frame: frame() never keeps theirs
-    kept = functools.lru_cache(maxsize=_FRAME_MEMO_CAP)(functools.partial(_graph_frame, shape))
-
-    def frame(w):
-        if type(w) is float and w:
-            return kept(w)
-        return on_grid(w, lambda x: _graph_frame(shape, x), lambda grid: _graph_frames(shape, grid))
-
-    return MetricPatch("rho", (lo, hi), "open", frame, kept)
+    return MetricPatch(
+        "rho", (lo, hi), "open", functools.partial(_graph_frame, shape), functools.partial(_graph_frames, shape)
+    )
 
 
 def torus_metric_patch(major_radius, minor_radius):
@@ -217,7 +236,7 @@ def torus_metric_patch(major_radius, minor_radius):
         a2 = R + a * c
         return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)
 
-    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", lambda w: on_grid(w, frame, frame), frame)
+    return MetricPatch("theta", (0.0, 2.0 * math.pi), "periodic", frame, frame)
 
 
 def curvature_sample(patch, w, q=0.0):
@@ -230,9 +249,8 @@ def curvature_sample(patch, w, q=0.0):
     meaningless there.  w is a float or a 1-D grid, by the rule of
     jets.on_grid: a grid gives one CurvatureSample of arrays, the scalar
     samples stacked, from one frame, or the first failing point's error.
-    A float other than 0.0 and -0.0
-    reads its frame from patch.float_frame, the memo of a graph patch keyed
-    on w alone; the frame at either zero is built afresh on every read.
+    A float reads patch.frame(w), so it shares the frame the patch keeps
+    for that float with the coefficients and drifts read there.
     """
     if type(w) is not float:
         return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: _curvature_table(patch, ws, q))
@@ -242,7 +260,7 @@ def curvature_sample(patch, w, q=0.0):
         lo, hi = patch.domain
         if not lo <= w <= hi:
             raise ValueError(f"coordinate {w} outside patch domain [{lo}, {hi}]")
-    fr = patch.float_frame(w) if w else patch.frame(w)
+    fr = patch.frame(w)
     k1 = float(fr.k1)
     k2 = float(fr.k2)
     shell1 = 1.0 + q * k1

@@ -117,31 +117,15 @@ def hermitian_momenta(patch):
         return 0.5 * (fr.k1 + fr.k2)
 
     return (
-        MomentumOp(patch.label, _of_w(patch, drift_w), patch, drift_w),
+        MomentumOp(patch.label, patch.lift(drift_w), patch, drift_w),
         MomentumOp("phi", lambda w: on_grid(w, _no_drift, np.zeros_like)),
-        MomentumOp("q", _of_w(patch, drift_q), patch, drift_q),
+        MomentumOp("q", patch.lift(drift_q), patch, drift_q),
     )
 
 
 def _no_drift(w):
     float(w)  # refuses a scalar that float() refuses
     return 0.0
-
-
-def _of_w(patch, of_frame):
-    """of_frame, a function of a Frame, as a function of w by the rule of jets.on_grid;
-    a float other than 0.0 and -0.0 reads patch.float_frame, the memo of a graph patch."""
-    frame, float_frame = patch.frame, patch.float_frame
-
-    def at(w):
-        return of_frame(frame(w))
-
-    def of_w(w):
-        if type(w) is float and w:
-            return of_frame(float_frame(w))
-        return on_grid(w, at, at)
-
-    return of_w
 
 
 def normal_momentum_sq_coeffs(h, k, q=0.0):
@@ -256,7 +240,7 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         return fr.a1 * fr.a2
 
     c0 = c0_laplacian if laplacian else c0_hermitian
-    return OperatorCoeffs(*(_of_w(patch, fn) for fn in (c2, c1, c0, weight, v0)))
+    return OperatorCoeffs(*map(patch.lift, (c2, c1, c0, weight, v0)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -468,9 +468,4 @@ def eval_jet3(expr, rho):
 
     rho is a float or a 1-D grid, as for eval_jet2.
     """
-    if type(rho) is float:  # _eval_jet's float path written out: a graph frame reads one per float
-        jet = expr.kernel((rho, 1.0, 0.0, 0.0))
-        s, s1, s2, s3 = jet
-        if 0.0 * s * s1 * s2 * s3 == 0.0:
-            return tuple.__new__(Jet3, jet)
     return _eval_jet(expr, rho, 4)

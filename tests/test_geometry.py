@@ -413,3 +413,52 @@ def test_graph_frame_memo_under_threads(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), cap
         assert wrong == [], cap
+
+
+def test_replacing_a_patchs_point_gives_a_fresh_frame_memo():
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    w = 0.7
+    old = patch.frame(w)
+    surface_operator(patch, "hermitian", 1).c2(w)  # the old patch now keeps its frame at w
+    calls = []
+
+    def point(rho):  # the surface stretched along the profile: a1 and its derivatives doubled, k1 halved
+        calls.append(rho)
+        fr = patch.point(rho)
+        return fr._replace(a1=2.0 * fr.a1, k1=0.5 * fr.k1, d_a1=2.0 * fr.d_a1, d2_a1=2.0 * fr.d2_a1)
+
+    stretched = dataclasses.replace(patch, point=point)
+    want = point(w)
+    calls.clear()
+    p_w, _, p_q = hermitian_momenta(stretched)
+    assert stretched.frame(w) == want != old
+    assert surface_operator(stretched, "hermitian", 1).c2(w) == -0.5 / (want.a1 * want.a1)
+    assert surface_operator(stretched, "laplacian").weight(w) == want.a1 * want.a2
+    assert p_w.drift(w) == 0.5 * (want.d_a1 / want.a1 + want.d_a2 / want.a2)
+    assert p_q.drift(w) == 0.5 * (want.k1 + want.k2)
+    sample = curvature_sample(stretched, w)
+    assert (sample.z, sample.k1, sample.k2) == (want.a1, want.k1, want.k2)
+    assert calls == [w]  # one build, shared by every read
+    assert patch.frame(w) == old and curvature_sample(patch, w).z == old.a1
+
+
+def test_torus_frame_memo_builds_one_frame_per_float(monkeypatch):
+    built = []
+    frame = curvedq.geometry.Frame
+    monkeypatch.setattr(curvedq.geometry, "Frame", lambda *fields: built.append(fields) or frame(*fields))
+    patch = torus_metric_patch(3.0, 1.0)
+    coeffs = surface_operator(patch, "hermitian", 1)
+    reads = [getattr(coeffs, field.name) for field in dataclasses.fields(coeffs)]
+    reads.append(lambda w: curvature_sample(patch, w))
+    fresh = torus_metric_patch(3.0, 1.0)
+    for theta in (0.7, 2.5):
+        built.clear()
+        for _ in range(2):
+            for read in reads:
+                read(theta)
+        assert len(built) == 1, theta
+        assert patch.frame(theta) == fresh.point(theta)
+    built.clear()
+    for read in reads:  # the frame at 0.0 is never kept: -0.0 would read it
+        read(0.0)
+    assert len(built) == len(reads)

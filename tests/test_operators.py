@@ -546,11 +546,11 @@ def test_grid_checks_read_each_field_once_per_grid():
     calls = []
 
     def counted(patch):
-        def frame(w):
+        def grid(w):
             calls.append(np.ndim(w))
-            return patch.frame(w)
+            return patch.grid(w)
 
-        return dataclasses.replace(patch, frame=frame)
+        return dataclasses.replace(patch, grid=grid)
 
     torus = counted(torus_metric_patch(3.0, 1.0))
     hermiticity_residual(hermitian_momenta(torus)[0], torus, parse_shape("sin(rho)"), parse_shape("cos(rho)"))
