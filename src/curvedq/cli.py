@@ -66,12 +66,9 @@ def emit(payload, fmt, digits=_DEFAULT_DIGITS):
     if fmt not in ("csv", "table"):
         raise UsageError(f"unknown format {fmt!r}")
     header, rows = payload
-    if fmt == "csv":
-        out = [",".join(header)]
-        for row in rows:
-            out.append(",".join(_cell(v, digits) for v in row))
-        return "\n".join(out) + "\n"
     cells = [list(header)] + [[_cell(v, digits) for v in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in cells) + "\n"
     widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join(lines) + "\n"

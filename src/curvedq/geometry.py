@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .jets import each_pow, on_grid
-from .shapes import ShapeDomainError, eval_jet2, eval_jet3
+from .shapes import ShapeDomainError, _array_jet, eval_jet2, eval_jet3
 
 
 # Frames a patch keeps, set by memory: about 404 B each (tracemalloc), so 6.6 MB per patch.
@@ -76,10 +76,11 @@ class MetricPatch:
 
     Built from two builders: point(w), the Frame at a Python float w, and
     grid(ws), the frames at a 1-D float array, the point frames stacked bit
-    for bit, or raising where they would differ.  frame(w) takes a float or
-    a 1-D grid, lists included, by the one rule of jets.on_grid, and
-    lift(of_frame) makes a function of a Frame a function of w by the same
-    rule; a caller that needs several fields at w reads them off one frame.
+    for bit, or raising where they would differ; grid calls no function that
+    dispatches.  frame(w) takes a float or a 1-D grid, lists included, by the
+    one rule of jets.on_grid, and lift(of_frame) makes a function of a Frame a
+    function of w by the same rule, through which a grid enters on_grid once;
+    a caller that needs several fields at w reads them off one frame.
 
     The patch keeps the frame of every float w other than 0.0 and -0.0 it
     reads in a functools.lru_cache of a fixed size, keyed on w alone, which
@@ -111,16 +112,13 @@ class MetricPatch:
 
     def lift(self, of_frame):
         """of_frame, a function of a Frame, as a function of w by the rule of
-        jets.on_grid; a float other than 0.0 and -0.0 reads the kept frame."""
-        kept, frame = self._kept, self.frame
-
-        def at(w):
-            return of_frame(frame(w))
+        jets.on_grid, which a grid enters once: of_frame reads grid(ws)."""
+        kept, frame, grid = self._kept, self.frame, self.grid
 
         def of_w(w):
             if type(w) is float and w:
                 return of_frame(kept(w))
-            return on_grid(w, at, at)
+            return on_grid(w, lambda x: of_frame(frame(x)), lambda ws: of_frame(grid(ws)))
 
         return of_w
 
@@ -188,7 +186,7 @@ def _graph_frame(shape, rho):
 
 def _graph_frames(shape, rho):
     """The frames of _graph_frame at each point of the 1-D array rho, from one array jet."""
-    _, s1, s2, s3 = eval_jet3(shape, rho)
+    _, s1, s2, s3 = _array_jet(shape, rho, 4)
     # numpy's sqrt is correctly rounded like math.sqrt; its pow is not like libm's
     z, dz, d2z, k1 = _slope_fields(s1, s2, s3, np.sqrt, each_pow)
     axis = rho == 0.0
@@ -287,7 +285,7 @@ def _curvature_table(patch, w, q):
         raise ValueError("curvature sample needs a finite w and q")
     if patch.boundary == "open" and not np.all((lo <= w) & (w <= hi)):
         raise ValueError("coordinate outside the patch domain")
-    fr = patch.frame(w)
+    fr = patch.grid(w)
     z, k1, k2 = (np.array(np.broadcast_to(x, w.shape), dtype=float) for x in (fr.a1, fr.k1, fr.k2))
     if np.any((1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)):
         raise FocalSurfaceError("offset q reaches the focal surface")

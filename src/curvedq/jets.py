@@ -262,8 +262,10 @@ def on_grid(w, scalar, array):
     floats do, ignoring overflow and underflow.  Where that raises ValueError
     or ArithmeticError, the points go to scalar in order, so the first
     failing point raises its own error, else their results come back stacked:
-    an array, or a named tuple of arrays.  array must raise
-    wherever it would not return what the scalar calls give.
+    an array, or a named tuple of arrays.  array must raise wherever it would
+    not return what the scalar calls give, and should raise nowhere else.  A
+    grid enters here once, at the public entry point: array calls only other
+    array builders, never one that dispatches, so a failing grid replays once.
     """
     grid = as_grid(w)
     if grid is None:

@@ -272,6 +272,8 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
     For an azimuthal momentum (op.label "phi") the integral runs over one
     period of phi; the measure is phi-independent and drops out.
     """
+    if (n_points := integer("n_points", n_points)) < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     if op.label == "phi":
         theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
         wq = 2.0 * math.pi / n_points

@@ -31,9 +31,9 @@ beyond the tuples the rules return.
 Only '/', '^' and function calls can leave their domain; in the scalar
 kernel each of those nodes reports the failure as a ShapeDomainError naming
 itself and the rho it was evaluated at.  The array kernel reports nothing:
-where it raises, or leaves a non-finite component, jets.on_grid evaluates
-the points again one at a time by the scalar kernel, so an array of rho gets
-the same error as a loop over its points, for the first offending rho.
+where it raises, or leaves a non-finite component the scalar kernel refuses,
+jets.on_grid evaluates the points again one at a time by the scalar kernel,
+so an array of rho gets the error of a loop over it, at the first offending rho.
 """
 
 import math
@@ -430,11 +430,11 @@ def _compile(node, rules, report):
 
 def _array_jet(expr, rho, count):
     """Jets of S at the 1-D float array rho, from one run of the array kernel;
-    FloatingPointError where it leaves a non-finite value in any of the four
-    components, so that on_grid evaluates the points one at a time."""
+    FloatingPointError where it leaves a non-finite value in one of the first
+    `count` components, those the scalar path checks, so on_grid replays the points."""
     jet = expr.array_kernel((rho, 1.0, 0.0, 0.0))  # the value of a bare rho is rho, on_grid's fresh copy
     columns = [c if isinstance(c, np.ndarray) else np.full(rho.shape, c) for c in jet]
-    if not all(np.isfinite(c).all() for c in columns):
+    if not all(np.isfinite(c).all() for c in columns[:count]):
         raise FloatingPointError("non-finite jet component")
     return Jet3._make(columns)
 

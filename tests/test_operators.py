@@ -39,10 +39,14 @@ def _fd(fn, w, h=1e-5):
 
 @pytest.fixture
 def jet3_calls(monkeypatch):
-    """The rho of each eval_jet3 run that graph frames make, in order."""
+    """The rho of each jet walk that graph frames make, in order: eval_jet3 for a
+    float, the array builder _array_jet for a grid."""
     calls = []
-    walk = curvedq.geometry.eval_jet3
+    walk, array_walk = curvedq.geometry.eval_jet3, curvedq.geometry._array_jet
     monkeypatch.setattr(curvedq.geometry, "eval_jet3", lambda expr, rho: calls.append(rho) or walk(expr, rho))
+    monkeypatch.setattr(
+        curvedq.geometry, "_array_jet", lambda expr, rho, count: calls.append(rho) or array_walk(expr, rho, count)
+    )
     return calls
 
 
@@ -559,6 +563,73 @@ def test_grid_checks_read_each_field_once_per_grid():
     graph = counted(graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.2, 1.8)))
     selfadjointness_defect(graph, surface_operator(graph, "hermitian", 0), np.linspace(0.3, 1.7, 29))
     assert calls == [1, 1, 1]  # the slope of c2 weight, c1 and weight
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """The w of each jets.on_grid call, from every module that dispatches."""
+    calls = []
+    dispatch = curvedq.jets.on_grid
+    for module in (curvedq.geometry, curvedq.operators, curvedq.shapes):
+        monkeypatch.setattr(module, "on_grid", lambda w, scalar, array: calls.append(w) or dispatch(w, scalar, array))
+    return calls
+
+
+def _counted_shape(src):
+    """The shape of src, and a list that gets the rho of each run of its scalar kernel."""
+    shape, runs = parse_shape(src), []
+    kernel = shape.kernel
+    object.__setattr__(shape, "kernel", lambda jet: runs.append(jet[0]) or kernel(jet))
+    return shape, runs
+
+
+def test_a_grid_enters_on_grid_once(dispatches):
+    # the entry point dispatches; the array builders beneath it never dispatch again
+    patch = graph_metric_patch(parse_shape("sqrt(9-rho^2)"), (0.1, 2.9))
+    c0 = surface_operator(patch, "laplacian").c0
+    grid = np.linspace(0.5, 2.5, 100)
+    for read in (patch.frame, c0, functools.partial(curvature_sample, patch)):
+        dispatches.clear()
+        read(grid)
+        assert len(dispatches) == 1, read
+
+
+def test_a_failing_grid_replays_the_scalar_path_once():
+    # 9 - rho^2 < 0 first at the 84th point: one scalar run for each point up to it
+    grid = np.linspace(0.5, 3.5, 100)
+    for name in ("c0", "frame"):
+        shape, runs = _counted_shape("sqrt(9-rho^2)")
+        patch = graph_metric_patch(shape, (0.1, 2.9))
+        read = surface_operator(patch, "laplacian").c0 if name == "c0" else patch.frame
+        with pytest.raises(ShapeDomainError, match=r"at rho=3\.015151515151515$") as error:
+            read(grid)
+        assert len(runs) == 84, name
+        with pytest.raises(ShapeDomainError) as scalar:
+            read(3.015151515151515)
+        assert str(error.value) == str(scalar.value)
+
+
+def test_eval_jet2_takes_a_grid_whose_third_derivative_overflows():
+    # exp(100 rho) near 7: S, S' and S'' are finite, S''' overflows, which only eval_jet3 checks
+    shape, runs = _counted_shape("exp(100*rho)")
+    grid = np.linspace(6.97, 6.99, 5)
+    jet = eval_jet2(shape, grid)
+    assert runs == []  # no replay
+    assert np.isinf(jet.d3).all()
+    floats = [eval_jet2(shape, rho) for rho in grid.tolist()]
+    for name, column in zip(jet._fields, jet):
+        assert column.tolist() == [getattr(f, name) for f in floats], name
+    with pytest.raises(ShapeDomainError, match=r"at rho=6\.97$"):
+        eval_jet3(shape, grid)
+
+
+@pytest.mark.parametrize("n_points", [0, -3, True, 2.5])
+def test_hermiticity_residual_refuses_n_points_other_than_a_positive_integer(n_points):
+    torus = torus_metric_patch(3.0, 1.0)
+    graph = graph_metric_patch(parse_shape("rho^2"), (0.2, 1.0))
+    for patch, f in ((torus, parse_shape("sin(rho)")), (graph, parse_shape("(rho-0.2)*(1-rho)"))):
+        with pytest.raises(ValueError, match="n_points"):
+            hermiticity_residual(hermitian_momenta(patch)[0], patch, f, f, n_points=n_points)
 
 
 def test_hermiticity_residual_refuses_callable_test_functions():
