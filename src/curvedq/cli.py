@@ -235,8 +235,7 @@ def selfadjointness_defect(patch, coeffs, grid):
 
 def _cmd_check(ns):
     samples, seed, alpha = ns.samples, ns.seed, ns.alpha
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"--alpha must lie in (0, 1), got {alpha!r}")
+    torus.check_alpha(alpha, "--alpha")
 
     worst_limit, worst_full = check_cancellation(samples, seed)
 
@@ -417,7 +416,7 @@ def run(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -247,8 +247,10 @@ def curvature_sample(patch, w, q=0.0):
     meaningless there.  w is a float or a 1-D grid, by the rule of
     jets.on_grid: a grid gives one CurvatureSample of arrays, the scalar
     samples stacked, from one frame, or the first failing point's error.
-    A float reads patch.frame(w), so it shares the frame the patch keeps
-    for that float with the coefficients and drifts read there.
+    Both compute h, k, V_C and F by mean_curvature, gaussian_curvature,
+    curvature_potential and rescaling_factor.  A float reads patch.frame(w),
+    so it shares the frame the patch keeps for that float with the
+    coefficients and drifts read there.
     """
     if type(w) is not float:
         return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: _curvature_table(patch, ws, q))
@@ -259,39 +261,30 @@ def curvature_sample(patch, w, q=0.0):
         if not lo <= w <= hi:
             raise ValueError(f"coordinate {w} outside patch domain [{lo}, {hi}]")
     fr = patch.frame(w)
-    k1 = float(fr.k1)
-    k2 = float(fr.k2)
-    shell1 = 1.0 + q * k1
-    shell2 = 1.0 + q * k2
+    k1, k2 = float(fr.k1), float(fr.k2)
+    shell1, shell2 = 1.0 + q * k1, 1.0 + q * k2
     if shell1 <= 0.0 or shell2 <= 0.0:
         raise FocalSurfaceError(
             f"offset q={q} reaches the focal surface (shell factors {shell1:.3g}, {shell2:.3g})"
         )
-    # mean_curvature, gaussian_curvature, curvature_potential and rescaling_factor, written out;
-    # tuple.__new__ builds the named tuple without its Python-level __new__
-    h = 0.5 * (k1 + k2)
-    k = k1 * k2
-    d = 0.5 * (k1 - k2)
-    vc, f = -0.5 * d * d, 1.0 + 2.0 * q * h + q * q * k
+    h, k = mean_curvature(k1, k2), gaussian_curvature(k1, k2)
+    vc, f = curvature_potential(k1, k2), rescaling_factor(h, k, q)
     if 0.0 * k1 * k2 * h * k * vc * f != 0.0:  # zero times a finite float is a zero, times inf or nan a nan
         raise ValueError(f"non-finite curvature sample at {patch.label}={w!r}")
-    return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, vc, f))
+    return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, vc, f))  # without the Python-level __new__
 
 
 def _curvature_table(patch, w, q):
-    """curvature_sample at each point of the array w; where one fails, an error that names no point."""
+    """curvature_sample at each point of the array w, by the same four functions; FloatingPointError
+    wherever the scalar path refuses, so that on_grid replays the points for that path's error."""
     lo, hi = patch.domain
-    if not (np.isfinite(w).all() and math.isfinite(q)):
-        raise ValueError("curvature sample needs a finite w and q")
-    if patch.boundary == "open" and not np.all((lo <= w) & (w <= hi)):
-        raise ValueError("coordinate outside the patch domain")
     fr = patch.grid(w)
     z, k1, k2 = (np.array(np.broadcast_to(x, w.shape), dtype=float) for x in (fr.a1, fr.k1, fr.k2))
-    if np.any((1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)):
-        raise FocalSurfaceError("offset q reaches the focal surface")
-    h = mean_curvature(k1, k2)
-    k = gaussian_curvature(k1, k2)
+    h, k = mean_curvature(k1, k2), gaussian_curvature(k1, k2)
     vc, f = curvature_potential(k1, k2), rescaling_factor(h, k, q)
-    if np.any(0.0 * k1 * k2 * h * k * vc * f != 0.0):
-        raise FloatingPointError("non-finite curvature sample")
+    outside = patch.boundary == "open" and not np.all((lo <= w) & (w <= hi))
+    focal = (1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)
+    # as on the scalar path, with w and q in the product, so a non-finite one is refused too
+    if outside or np.any(focal | (0.0 * w * q * k1 * k2 * h * k * vc * f != 0.0)):
+        raise FloatingPointError
     return CurvatureSample(w, z, k1, k2, h, k, vc, f)

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import rescaling_factor
+from .geometry import curvature_potential, mean_curvature, rescaling_factor
 from .jets import on_grid
 from .shapes import ShapeExpr, eval_jet2
 
@@ -104,23 +104,26 @@ class OperatorCoeffs:
 def hermitian_momenta(patch):
     """Momenta (P_w, P_phi, P_q) Hermitian under the measure a1 a2 F, at q = 0.
 
-    P_w.drift = (1/2)(a1'/a1 + a2'/a2); for a graph this is the
+    P_w.drift = gamma = (1/2)(a1'/a1 + a2'/a2), the function _gamma of a
+    Frame that surface_operator's c1 also reads; for a graph this is the
     log-derivative form (1/2)(Z_rho/Z + 1/rho).  P_phi has no drift: 0.0
     at a scalar, zeros over a grid, by the rule of jets.on_grid.  The normal
-    momentum's drift at q = 0 is the mean curvature h.
+    momentum's drift at q = 0 is the mean curvature h (mean_curvature).
     """
 
-    def drift_w(fr):
-        return 0.5 * (fr.d_a1 / fr.a1 + fr.d_a2 / fr.a2)
-
     def drift_q(fr):
-        return 0.5 * (fr.k1 + fr.k2)
+        return mean_curvature(fr.k1, fr.k2)
 
     return (
-        MomentumOp(patch.label, patch.lift(drift_w), patch, drift_w),
+        MomentumOp(patch.label, patch.lift(_gamma), patch, _gamma),
         MomentumOp("phi", lambda w: on_grid(w, _no_drift, np.zeros_like)),
         MomentumOp("q", patch.lift(drift_q), patch, drift_q),
     )
+
+
+def _gamma(fr):
+    """gamma = (1/2) W'/W, W = a1 a2, at a Frame: P_w's drift and the drift in c1."""
+    return 0.5 * (fr.d_a1 / fr.a1 + fr.d_a2 / fr.a2)
 
 
 def _no_drift(w):
@@ -148,14 +151,10 @@ def rescaling_potential(h, k, q=0.0):
 
 
 def cancellation_residual(h, k, q=0.0):
-    """|rescaling term + zero-order term of -P_q^2|; identically zero in exact
-    arithmetic, so this measures rounding only.  The two terms are those of
-    rescaling_potential and normal_momentum_sq_coeffs, written out with the
-    same expressions: a pointwise caller makes one call per sample."""
-    f = 1.0 + 2.0 * q * h + q * q * k
-    fp = 2.0 * (h + q * k)
-    g = (h + q * k) / f
-    return abs((0.25 * (fp / f) ** 2 - 0.5 * (2.0 * k) / f) + (k / f - g * g))
+    """|rescaling term + zero-order term of -P_q^2|, the two terms computed by
+    rescaling_potential and normal_momentum_sq_coeffs; identically zero in
+    exact arithmetic, so this measures rounding only."""
+    return abs(rescaling_potential(h, k, q) + normal_momentum_sq_coeffs(h, k, q)[2])
 
 
 def integer(name, value):
@@ -198,8 +197,9 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     left = formulation == "hermitian" and ordering == "left"
     laplacian = formulation == "laplacian"
 
-    # functions of a Frame, written out rather than built from helpers: pointwise callers read
-    # thousands per sweep; products, not powers: numpy's array pow rounds unlike the scalar one
+    # functions of a Frame; b, b', V_L's gamma and gamma' and the centrifugal term stay written out:
+    # shared closures for them cost graph-fields 10-16% more CPU per op (2 vCPU host); products,
+    # not powers: numpy's array pow rounds unlike the scalar one
     def c2(fr):
         a1 = fr.a1
         return -0.5 / (a1 * a1)
@@ -208,8 +208,7 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         a1 = fr.a1
         b = 1.0 / (a1 * a1)
         db = 0.0 if left else -2.0 * fr.d_a1 / (a1 * a1 * a1)
-        g = 0.5 * (fr.d_a1 / a1 + fr.d_a2 / fr.a2)
-        return -0.5 * (db + 2.0 * b * g)
+        return -0.5 * (db + 2.0 * b * _gamma(fr))
 
     def liouville(fr):
         """V_L, the zero-order term the kinetic operator leaves in half-density form."""
@@ -223,8 +222,7 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
 
     def c0_laplacian(fr):
         r = nu / fr.a2
-        d = 0.5 * (fr.k1 - fr.k2)  # curvature_potential, written out
-        return 0.5 * (r * r) + -0.5 * d * d
+        return 0.5 * (r * r) + curvature_potential(fr.k1, fr.k2)
 
     def c0_hermitian(fr):
         r = nu / fr.a2
@@ -270,35 +268,31 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
     open patches, Gauss-Legendre nodes, and f, g must vanish at both endpoints.
 
     For an azimuthal momentum (op.label "phi") the integral runs over one
-    period of phi; the measure is phi-independent and drops out.
+    period of phi, [0, 2 pi) by the periodic trapezoid rule, with measure 1:
+    the measure is phi-independent and drops out.
     """
     if (n_points := integer("n_points", n_points)) < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if op.label == "phi":
-        theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-        wq = 2.0 * math.pi / n_points
-        measure = 1.0
-        drift = op.drift(theta)
-    elif op.label == patch.label:
-        lo, hi = patch.domain
-        if patch.boundary == "periodic":
-            theta = np.linspace(lo, hi, n_points, endpoint=False)
-            wq = (hi - lo) / n_points
-        else:
-            for name, fn in (("f", f), ("g", g)):
-                for end, val in zip((lo, hi), _values_and_slopes(fn, (lo, hi))[0]):
-                    if abs(val) > 1e-9:
-                        raise BoundaryCompatibilityError(
-                            f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
-                        )
-            nodes, gw = _gauss_legendre(n_points)
-            theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            wq = 0.5 * (hi - lo) * gw
-        fr = patch.frame(theta)
-        measure = fr.a1 * fr.a2
-        drift = op.of_frame(fr) if op.patch is patch else op.drift(theta)
-    else:
+    azimuthal = op.label == "phi"
+    if not azimuthal and op.label != patch.label:
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
+    lo, hi = (0.0, 2.0 * math.pi) if azimuthal else patch.domain
+    if azimuthal or patch.boundary == "periodic":
+        theta = np.linspace(lo, hi, n_points, endpoint=False)
+        wq = (hi - lo) / n_points
+    else:
+        for name, fn in (("f", f), ("g", g)):
+            for end, val in zip((lo, hi), _values_and_slopes(fn, (lo, hi))[0]):
+                if abs(val) > 1e-9:
+                    raise BoundaryCompatibilityError(
+                        f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
+                    )
+        nodes, gw = _gauss_legendre(n_points)
+        theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        wq = 0.5 * (hi - lo) * gw
+    fr = None if azimuthal else patch.frame(theta)
+    measure = 1.0 if azimuthal else fr.a1 * fr.a2
+    drift = op.of_frame(fr) if op.patch is patch and not azimuthal else op.drift(theta)
 
     fv, fs = _values_and_slopes(f, theta)
     gv, gs = _values_and_slopes(g, theta)

@@ -53,13 +53,20 @@ class JacobiConvergenceError(RuntimeError):
     """Cyclic Jacobi failed to reach the off-diagonal target within the sweep cap."""
 
 
+def check_alpha(alpha, name="alpha"):
+    """Refuse an aspect ratio outside (0, 1), or so small that the major radius 1/alpha overflows."""
+    if not (0.0 < alpha < 1.0 and math.isfinite(1.0 / alpha)):
+        raise ValueError(f"{name} must lie in (0, 1) with a finite 1/alpha, got {alpha}")
+
+
 @dataclass(frozen=True)
 class TorusProblem:
     """One eigenproblem configuration.
 
-    nu, n_max and n_quad must be integral (2.0 is accepted, 1.7 and True
-    refused).  nu is reduced to |nu| (the spectrum depends on nu only
-    through nu^2; states carry e^(+-i nu phi)).  n_quad must stay
+    alpha must pass check_alpha.  nu, n_max and n_quad must be integral (2.0
+    is accepted, 1.7 and True refused).  nu is reduced to |nu| (the spectrum
+    depends on nu only through nu^2; states carry e^(+-i nu phi)), and refused
+    where the centrifugal term of H overflows.  n_quad must stay
     comfortably above the basis bandwidth so the trapezoid rule is
     spectrally converged: at least 4*n_max + 8, and by default the larger
     of that and N_QUAD_FLOOR.
@@ -72,10 +79,15 @@ class TorusProblem:
     n_quad: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        check_alpha(self.alpha)
         check_formulation(self.formulation)
         object.__setattr__(self, "nu", abs(integer("nu", self.nu)))
+        try:  # the entries of H that nu^2 alpha^2/u^2 adds peak at the inner equator, u = 1 - alpha
+            peak = 2.0 * math.pi * (self.nu * self.alpha / (1.0 - self.alpha)) ** 2
+        except OverflowError:  # nu, or its square, past the float range
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ValueError(f"nu is too large at alpha = {self.alpha}: the centrifugal term overflows")
         n_max = integer("n_max", self.n_max)
         if n_max < 2:
             raise ValueError("n_max must be at least 2")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedq import torus
 from curvedq.cli import UsageError, build_parser, emit, run
 from curvedq.shapes import ShapeExpr, format_expr
 from curvedq.torus import TorusProblem
@@ -640,3 +641,29 @@ def test_parser_builds():
     parser = build_parser()
     ns = parser.parse_args(["spectrum", "--alpha", "1/3"])
     assert ns.alpha == pytest.approx(1.0 / 3.0)
+
+
+def test_allocation_failure_exit_1(monkeypatch, capsys):
+    # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(torus, "table_states", refuse)
+    monkeypatch.setattr(torus, "solve_spectrum", refuse)
+    for argv in (["compare", "--alpha", "1/2", "--nmax", "100000"], ["spectrum", "--alpha", "0.5"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: Unable to allocate 298. GiB for an array\n", argv
+
+
+def test_torus_inputs_past_the_float_range_refused_by_name():
+    for argv, name in (
+        (["spectrum", "--alpha", "0.5", "--nu", str(10**154)], "nu"),
+        (["spectrum", "--alpha", "0.95", "--nu", str(10**153)], "nu"),
+        (["spectrum", "--alpha", "0.5", "--nu", str(10**400)], "nu"),
+        (["spectrum", "--alpha", "5e-324"], "alpha"),
+        (["check", "--alpha", "1e-320", "--samples", "1"], "--alpha"),
+    ):
+        proc = _python("-W", "error::RuntimeWarning", "-m", "curvedq.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith(f"error: {name} ") and proc.stderr.count("\n") == 1, (argv, proc.stderr)

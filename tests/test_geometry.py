@@ -462,3 +462,14 @@ def test_torus_frame_memo_builds_one_frame_per_float(monkeypatch):
     for read in reads:  # the frame at 0.0 is never kept: -0.0 would read it
         read(0.0)
     assert len(built) == len(reads)
+
+
+def test_float_and_grid_samples_read_the_named_curvature_functions(monkeypatch):
+    grid = np.array([0.4, 0.9, 1.5])
+    patches = (graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8)), torus_metric_patch(3.0, 1.0))
+    monkeypatch.setattr(curvedq.geometry, "curvature_potential", lambda k1, k2: 0.0 * k1 - 7.0)
+    monkeypatch.setattr(curvedq.geometry, "rescaling_factor", lambda h, k, q: 0.0 * h + 2.0)
+    for patch in patches:
+        assert [(s.vc, s.f) for s in map(lambda w: curvature_sample(patch, w, 0.1), grid.tolist())] == [(-7.0, 2.0)] * 3
+        table = curvature_sample(patch, grid, 0.1)
+        assert table.vc.tolist() == [-7.0] * 3 and table.f.tolist() == [2.0] * 3

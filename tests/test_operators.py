@@ -698,3 +698,36 @@ def test_cancellation_on_random_graph_shapes():
         patch = graph_metric_patch(parse_shape(random_shape_source(rng, i)), (0.3, 1.7))
         s = curvature_sample(patch, float(rng.uniform(0.4, 1.6)))
         assert cancellation_residual(s.h, s.k) <= 1e-12
+
+
+def test_cancellation_residual_adds_the_two_named_terms(monkeypatch):
+    h, k, q = 0.7, -0.3, 0.2
+    want = abs(rescaling_potential(h, k, q) + normal_momentum_sq_coeffs(h, k, q)[2])
+    assert cancellation_residual(h, k, q) == want
+    monkeypatch.setattr(curvedq.operators, "rescaling_potential", lambda h, k, q=0.0: 5.0)
+    assert cancellation_residual(h, k, q) == abs(5.0 + normal_momentum_sq_coeffs(h, k, q)[2])
+    monkeypatch.setattr(curvedq.operators, "normal_momentum_sq_coeffs", lambda h, k, q=0.0: (1.0, 0.0, -2.0))
+    assert cancellation_residual(h, k, q) == 3.0
+
+
+def test_laplacian_c0_reads_curvature_potential(monkeypatch):
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    grid = np.array([0.4, 0.9, 1.5])
+    c0 = surface_operator(patch, "laplacian", 1).c0
+    centrifugal = [0.5 * (1.0 / w) ** 2 for w in grid.tolist()]
+    monkeypatch.setattr(curvedq.operators, "curvature_potential", lambda k1, k2: 0.0 * k1 + 10.0)
+    assert [c0(w) for w in grid.tolist()] == [r + 10.0 for r in centrifugal]
+    assert c0(grid).tolist() == [r + 10.0 for r in centrifugal]
+
+
+def test_c1_and_the_surface_drift_read_one_gamma(monkeypatch):
+    patch = graph_metric_patch(parse_shape("0.3*rho^3+0.5*sin(rho)"), (0.2, 1.8))
+    grid = np.array([0.4, 0.9, 1.5])
+    monkeypatch.setattr(curvedq.operators, "_gamma", lambda fr: 0.0 * fr.a1 + 3.0)
+    p_w = hermitian_momenta(patch)[0]
+    assert p_w.drift(0.9) == 3.0 and p_w.drift(grid).tolist() == [3.0] * 3
+    c1 = surface_operator(patch, "hermitian", 0, "left").c1
+    for w in grid.tolist():
+        a1 = patch.frame(w).a1
+        assert c1(w) == -0.5 * (2.0 * (1.0 / (a1 * a1)) * 3.0)  # the left ordering drops b'
+    assert c1(grid).tolist() == [c1(w) for w in grid.tolist()]

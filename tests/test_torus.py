@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,3 +511,23 @@ def test_route_difference_of_v0_is_profile_curvature_and_a_quarter_nu(major_radi
             hermitian = surface_operator(patch, "hermitian", nu, ordering).v0(theta)
             scale = 1.0 + np.abs(hermitian) + np.abs(want)
             assert np.all(np.abs(laplacian - hermitian - want) <= 1e-14 * scale), (nu, ordering)
+
+
+def test_nu_whose_centrifugal_term_overflows_is_refused():
+    # 2 pi (nu alpha/(1 - alpha))^2 bounds the centrifugal entries of H
+    for alpha, nu in ((0.5, 10**154), (0.95, 10**153), (0.5, 10**400), (1e-300, 10**400)):
+        with pytest.raises(ValueError, match="^nu is too large"):
+            TorusProblem(alpha, nu, "laplacian")
+    for alpha in (5e-324, 1e-320):
+        with pytest.raises(ValueError, match="^alpha .* finite 1/alpha"):
+            TorusProblem(alpha, 0, "hermitian")
+
+
+def test_largest_accepted_nu_solves_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_spectrum(TorusProblem(0.5, 5 * 10**153, "laplacian"))
+    betas = np.array([e.beta for e in result.entries])
+    assert np.all(np.isfinite(betas)) and betas[0] > 0.0
+    for alpha in (0.5, 0.99):
+        assert TorusProblem(alpha, 3, "hermitian").nu == 3
