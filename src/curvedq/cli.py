@@ -49,6 +49,12 @@ def _round(x, digits):
     return 0.0 if r == 0.0 else r
 
 
+def _round_nonzero(x, digits):
+    """x to `digits` decimals, or to `digits` significant digits (at least one) where those give 0 for x != 0."""
+    r = _round(x, digits)
+    return float(f"{float(x):.{max(digits, 1) - 1}e}") if r == 0.0 and x != 0.0 else r
+
+
 def _sig(x):
     """Residual-style value kept in scientific precision regardless of --digits."""
     return float(f"{float(x):.6e}")
@@ -114,7 +120,7 @@ def _cmd_curvature(ns):
     rows = np.column_stack([s.w, s.z, s.k1, s.k2, s.h, s.k, s.vc, s.f]).tolist()
     if ns.format == "json":
         payload = {
-            "q": _round(ns.q, digits),
+            "q": _round_nonzero(ns.q, digits),
             "samples": [
                 {key: _round(val, digits) for key, val in zip(header, row)} for row in rows
             ],
@@ -185,8 +191,8 @@ def _cmd_magic(ns):
     digits = ns.digits
     payload = {
         "nu": ns.nu,
-        "laplacian": _round(torus.magic_alpha(ns.nu, "laplacian"), digits),
-        "hermitian": _round(torus.magic_alpha(ns.nu, "hermitian"), digits),
+        "laplacian": _round_nonzero(torus.magic_alpha(ns.nu, "laplacian"), digits),
+        "hermitian": _round_nonzero(torus.magic_alpha(ns.nu, "hermitian"), digits),
     }
     return emit(payload, ns.format, digits)
 

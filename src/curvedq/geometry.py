@@ -244,16 +244,17 @@ def curvature_sample(patch, w, q=0.0):
     F is not finite (V_C squares k1 - k2, which overflows past 1e154), and
     FocalSurfaceError when q reaches a focal distance (a shell factor
     1 + q*k_i drops to zero or below); the metric factorization is
-    meaningless there.  w is a float or a 1-D grid, by the rule of
-    jets.on_grid: a grid gives one CurvatureSample of arrays, the scalar
-    samples stacked, from one frame, or the first failing point's error.
-    Both compute h, k, V_C and F by mean_curvature, gaussian_curvature,
-    curvature_potential and rescaling_factor.  A float reads patch.frame(w),
-    so it shares the frame the patch keeps for that float with the
-    coefficients and drifts read there.
+    meaningless there.  The float body is the one body that computes or
+    refuses a sample, h, k, V_C and F by mean_curvature, gaussian_curvature,
+    curvature_potential and rescaling_factor, from patch.frame(w), the frame
+    the coefficients and drifts read at that float.  A 1-D grid of w (the
+    rule of jets.on_grid) gives the float samples stacked, as one
+    CurvatureSample of arrays, or the first failing point's error; its
+    points enter the patch's frame memo like any float read.
     """
-    if type(w) is not float:
-        return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: _curvature_table(patch, ws, q))
+    if type(w) is not float:  # a grid: the float samples as rows, eight columns (empty for an empty grid)
+        return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: CurvatureSample._make(
+            np.array([curvature_sample(patch, x, q) for x in ws.tolist()], dtype=float).reshape(-1, 8).T.copy()))
     if not (math.isfinite(w) and math.isfinite(q)):
         raise ValueError(f"curvature sample needs a finite w and q, got w={w}, q={q}")
     if patch.boundary == "open":
@@ -272,19 +273,3 @@ def curvature_sample(patch, w, q=0.0):
     if 0.0 * k1 * k2 * h * k * vc * f != 0.0:  # zero times a finite float is a zero, times inf or nan a nan
         raise ValueError(f"non-finite curvature sample at {patch.label}={w!r}")
     return tuple.__new__(CurvatureSample, (w, float(fr.a1), k1, k2, h, k, vc, f))  # without the Python-level __new__
-
-
-def _curvature_table(patch, w, q):
-    """curvature_sample at each point of the array w, by the same four functions; FloatingPointError
-    wherever the scalar path refuses, so that on_grid replays the points for that path's error."""
-    lo, hi = patch.domain
-    fr = patch.grid(w)
-    z, k1, k2 = (np.array(np.broadcast_to(x, w.shape), dtype=float) for x in (fr.a1, fr.k1, fr.k2))
-    h, k = mean_curvature(k1, k2), gaussian_curvature(k1, k2)
-    vc, f = curvature_potential(k1, k2), rescaling_factor(h, k, q)
-    outside = patch.boundary == "open" and not np.all((lo <= w) & (w <= hi))
-    focal = (1.0 + q * k1 <= 0.0) | (1.0 + q * k2 <= 0.0)
-    # as on the scalar path, with w and q in the product, so a non-finite one is refused too
-    if outside or np.any(focal | (0.0 * w * q * k1 * k2 * h * k * vc * f != 0.0)):
-        raise FloatingPointError
-    return CurvatureSample(w, z, k1, k2, h, k, vc, f)

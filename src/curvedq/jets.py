@@ -264,8 +264,8 @@ def on_grid(w, scalar, array):
     failing point raises its own error, else their results come back stacked:
     an array, or a named tuple of arrays.  array must raise wherever it would
     not return what the scalar calls give, and should raise nowhere else.  A
-    grid enters here once, at the public entry point: array calls only other
-    array builders, never one that dispatches, so a failing grid replays once.
+    grid enters here once, at the public entry point: array passes no grid to
+    a function that dispatches, so a failing grid replays once.
     """
     grid = as_grid(w)
     if grid is None:

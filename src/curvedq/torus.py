@@ -274,15 +274,21 @@ def magic_alpha(nu, formulation):
     """Aspect ratio at which the azimuthal part of W vanishes.
 
     laplacian: alpha = 1/(2 nu);  hermitian: alpha = 1/sqrt(1 + 4 nu^2).
-    Requires nu >= 1 (nu = 0 has no azimuthal term to cancel).
+    Requires nu >= 1 (nu = 0 has no azimuthal term to cancel); a nu past
+    about 9e307, whose ratio would fail check_alpha, raises ValueError.
     """
     nu = integer("nu", nu)
     if nu < 1:
         raise ValueError("magic aspect ratio needs nu >= 1")
     check_formulation(formulation)
-    if formulation == "laplacian":
-        return 1.0 / (2.0 * nu)
-    return 1.0 / math.sqrt(1.0 + 4.0 * nu * nu)
+    two_nu = 2.0 * nu if nu < 2**1023 else math.inf  # float(nu) overflows past 2**1024, 2 nu before
+    # past 2 nu = 1e154, sqrt(1 + 4 nu^2) rounds to 2 nu, and 4 nu^2 soon overflows
+    alpha = 1.0 / (two_nu if formulation == "laplacian" or two_nu > 1e154 else math.sqrt(1.0 + two_nu * two_nu))
+    try:
+        check_alpha(alpha)
+    except ValueError:
+        raise ValueError("nu is too large: its magic aspect ratio has no finite reciprocal") from None
+    return alpha
 
 
 def listing_key(state):

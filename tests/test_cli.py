@@ -43,6 +43,32 @@ def test_magic_rejects_nu_zero(capsys):
     assert "nu" in err
 
 
+def test_magic_prints_positive_ratios_where_digits_would_round_them_to_zero(capsys):
+    # --digits decimals, or --digits significant digits (at least one) where the decimals give zero
+    for argv, want in (
+        (["--nu", "100000", "--digits", "4"], {"laplacian": 5e-06, "hermitian": 5e-06}),
+        (["--nu", "1", "--digits", "0"], {"laplacian": 0.5, "hermitian": 0.4}),
+    ):
+        code, out, _ = _run(capsys, ["magic"] + argv)
+        assert code == 0
+        assert {key: json.loads(out)[key] for key in want} == want, argv
+    for nu in range(1, 9):
+        code, out, _ = _run(capsys, ["magic", "--nu", str(nu), "--digits", "4"])
+        want = {name: round(torus.magic_alpha(nu, name), 4) for name in ("laplacian", "hermitian")}
+        assert code == 0 and json.loads(out) == {"nu": nu, **want}
+    code, out, err = _run(capsys, ["magic", "--nu", str(10**400)])
+    assert code == 1 and out == "" and err.startswith("error: nu ")
+
+
+def test_curvature_json_echoes_the_q_it_solved(capsys):
+    argv = ["curvature", "--torus", "3", "1", "--points", "2", "--format", "json"]
+    code, out, _ = _run(capsys, argv + ["--q", "0.00001"])
+    assert code == 0 and '"q": 1e-05,' in out
+    for q, want in (("-1/300000", -3.333e-06), ("0.2", 0.2), ("0", 0.0)):
+        code, out, _ = _run(capsys, argv + [f"--q={q}"])
+        assert code == 0 and json.loads(out)["q"] == want, q
+
+
 def test_spectrum_json_roundtrip_and_determinism(capsys):
     argv = ["spectrum", "--alpha", "1/3", "--nu", "0", "--formulation", "hermitian", "--states", "3"]
     code, first, _ = _run(capsys, argv)

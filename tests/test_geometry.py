@@ -205,6 +205,15 @@ def test_curvature_sample_over_an_array_is_the_scalar_samples_stacked():
             assert getattr(table, name).tobytes() == want.tobytes(), (patch.label, name)
 
 
+def test_curvature_sample_over_an_empty_grid_is_eight_empty_arrays():
+    for patch in (graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.0, 1.9)), torus_metric_patch(3.0, 1.0)):
+        for grid in (np.zeros(0), []):
+            table = curvature_sample(patch, grid, 0.1)
+            assert type(table) is CurvatureSample
+            for name, column in zip(CurvatureSample._fields, table):
+                assert type(column) is np.ndarray and column.dtype == float and column.shape == (0,), name
+
+
 def _first_error(patch, grid, q):
     for w in grid:
         try:

@@ -69,7 +69,11 @@ def test_one_jet_walk_per_graph_frame(monkeypatch, jet3_calls):
                 assert walks(getattr(coeffs, name), next(fresh)) == 1, (formulation, ordering, name)
     # a grid of rho costs one walk of the array kernel, not one per point
     assert walks(patch.frame, np.linspace(0.2, 1.8, 64)) == 1
-    assert walks(lambda w: curvature_sample(patch, w), np.linspace(0.2, 1.8, 64)) == 1
+    # a curvature table is the float samples stacked: one walk per point, whose frames the patch keeps
+    table = np.linspace(0.2, 1.8, 64)
+    assert walks(lambda w: curvature_sample(patch, w), table) == 64
+    c0 = surface_operator(patch, "laplacian").c0
+    assert walks(lambda ws: [(curvature_sample(patch, w), c0(w)) for w in ws.tolist()], table) == 0
 
     jet2_calls = []
     jet2 = curvedq.operators.eval_jet2

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from curvedq.torus import (
     PARITIES,
     TorusProblem,
     assemble,
+    check_alpha,
     fourier_block,
     jacobi_eigh,
     listing_key,
@@ -339,6 +341,25 @@ def test_magic_alpha_values():
             with pytest.raises(ValueError, match="nu"):
                 magic_alpha(nu, formulation)
     assert magic_alpha(2.0, "laplacian") == 0.25
+
+
+def test_magic_alpha_past_the_float_range_is_a_ratio_or_refused_by_name():
+    # 4 nu^2 overflows past nu = 7e153; past nu = 9e307 the ratio, about 1/(2 nu), has no finite
+    # reciprocal, and past 1.8e308 nu has no float
+    for nu, refused in ((10**154, False), (10**308, True), (10**309, True), (10**400, True)):
+        for formulation in FORMULATIONS:
+            if refused:
+                with pytest.raises(ValueError, match=r"^nu "):
+                    magic_alpha(nu, formulation)
+                continue
+            alpha = magic_alpha(nu, formulation)
+            check_alpha(alpha)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                exact = decimal.Decimal(nu)
+                root = 2 * exact if formulation == "laplacian" else (1 + 4 * exact**2).sqrt()
+                closed = float(1 / root)
+            assert alpha == pytest.approx(closed, rel=4e-16, abs=0.0), formulation
 
 
 def test_flat_limit_spectra():
