@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .jets import each_pow, on_grid
+from .jets import as_grid, each_pow, on_grid
 from .shapes import ShapeDomainError, _array_jet, eval_jet2, eval_jet3
 
 
@@ -223,11 +223,14 @@ def torus_metric_patch(major_radius, minor_radius):
     """Metric patch for a torus, w = theta, periodic on [0, 2*pi).
 
     theta = 0 is the outer equator.  Requires finite radii with 0 < a < R;
-    a >= R would self-intersect.
+    a >= R would self-intersect, and R + a, the outer equator's radius, must
+    be finite too.
     """
     R, a = float(major_radius), float(minor_radius)
     if not (0.0 < a < R and math.isfinite(R)):
         raise ValueError(f"torus radii must be finite with 0 < a < R, got a={a}, R={R}")
+    if not math.isfinite(R + a):
+        raise ValueError(f"torus radii must have a finite outer equator radius R + a, got a={a}, R={R}")
 
     def frame(w):
         c, s = np.cos(w), np.sin(w)
@@ -247,14 +250,17 @@ def curvature_sample(patch, w, q=0.0):
     meaningless there.  The float body is the one body that computes or
     refuses a sample, h, k, V_C and F by mean_curvature, gaussian_curvature,
     curvature_potential and rescaling_factor, from patch.frame(w), the frame
-    the coefficients and drifts read at that float.  A 1-D grid of w (the
-    rule of jets.on_grid) gives the float samples stacked, as one
-    CurvatureSample of arrays, or the first failing point's error; its
-    points enter the patch's frame memo like any float read.
+    the coefficients and drifts read at that float.  w is told apart by
+    jets.as_grid: a numpy scalar or a 0-d array reads as its float, and a 1-D
+    grid runs the float body once per point, in order, and gives the samples
+    stacked, as one CurvatureSample of arrays (eight empty ones for an empty
+    grid); the first failing point raises its own error, so no point is
+    computed twice.  The points enter the patch's frame memo like any float
+    read.
     """
-    if type(w) is not float:  # a grid: the float samples as rows, eight columns (empty for an empty grid)
-        return on_grid(w, lambda x: curvature_sample(patch, float(x), q), lambda ws: CurvatureSample._make(
-            np.array([curvature_sample(patch, x, q) for x in ws.tolist()], dtype=float).reshape(-1, 8).T.copy()))
+    if type(w) is not float:  # a scalar as its float; a grid as the float samples in rows of eight
+        return curvature_sample(patch, float(w), q) if (grid := as_grid(w)) is None else CurvatureSample._make(
+            np.array([curvature_sample(patch, x, q) for x in grid.tolist()], dtype=float).reshape(-1, 8).T.copy())
     if not (math.isfinite(w) and math.isfinite(q)):
         raise ValueError(f"curvature sample needs a finite w and q, got w={w}, q={q}")
     if patch.boundary == "open":

@@ -243,9 +243,10 @@ ARRAY = _rules(SimpleNamespace(
 
 
 def as_grid(x):
-    """How on_grid tells its carriers apart: None for a scalar (a float, a numpy
-    scalar, a 0-d array), a fresh 1-D float array for a 1-D array or sequence,
-    a list included, and ValueError for anything of more dimensions."""
+    """How on_grid and geometry.curvature_sample tell their carriers apart: None
+    for a scalar (a float, a numpy scalar, a 0-d array), a fresh 1-D float array
+    for a 1-D array or sequence, a list included, and ValueError for anything of
+    more dimensions."""
     ndim = np.ndim(x)
     if ndim == 0:
         return None
@@ -255,7 +256,10 @@ def as_grid(x):
 
 
 def on_grid(w, scalar, array):
-    """The one rule by which every function of w (or rho) takes a float or a grid.
+    """The one rule by which every function of w (or rho) with an array builder
+    takes a float or a grid: the patch frames, the lifted coefficients and
+    drifts, the shape jets and the azimuthal drift.  (geometry.curvature_sample
+    has no array builder: it stacks its float body by as_grid alone.)
 
     A scalar w goes to scalar(w) as given, a grid (as_grid) to array(grid)
     with numpy raising on division by zero and invalid values and, as Python

@@ -214,6 +214,65 @@ def per_node_hermiticity_residual(op, patch, f, g, n_points=512):
     return abs(total)
 
 
+# -- thin-shell oracle: the 3-D operators in a shell around a periodic patch --
+#
+# A shell of thickness d around the surface, -d/2 <= q <= d/2, with Dirichlet
+# walls.  In the half-density u = G^(1/4) psi on the flat measure dw dq, with
+# g^ww = 1/(a1 (1 + q k1))^2, g^phph = 1/(a2 (1 + q k2))^2 and sqrt(G) = a1 a2 F
+# read off the patch's frames, beta = 2 E is the minimum of
+#
+#     int (g^ww (D_w u)^2 + (D_q u)^2 + nu^2 g^phph u^2) dw dq  /  int u^2 dw dq.
+#
+# The Laplacian -Delta has D = d - (1/4) d ln G, since d psi = G^(-1/4) D u.  The
+# paper's H_eta = (1/2) sum_eta P_eta g^etaeta P_eta with P_eta = -i G^(-1/4) d_eta
+# G^(1/4) has D = d: P_eta psi = -i G^(-1/4) u_eta, so no potential appears.
+
+
+def _periodic_derivative(values):
+    """d/dw along axis 0 of values sampled at n equispaced nodes of one period 2 pi."""
+    n = values.shape[0]
+    k = np.arange(n // 2 + 1, dtype=float)
+    if n % 2 == 0:
+        k[-1] = 0.0  # the Nyquist mode of an even count has no derivative on the nodes
+    return np.fft.irfft(1j * k[:, None] * np.fft.rfft(values, axis=0), n, axis=0)
+
+
+def shell_ground_beta(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_gauss=40):
+    """The even ground state's beta in the shell of thickness d around a periodic
+    patch of period 2 pi, less the transverse (pi/d)^2.
+
+    route "laplacian" is -Delta, "hermitian" the paper's H_eta (see above).  u is
+    expanded in {cos n w, n <= n_max} times n_sines Dirichlet sines in q, on
+    n_theta trapezoid nodes in w and n_gauss Gauss-Legendre nodes in q.
+    """
+    w = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    x, gauss = np.polynomial.legendre.leggauss(n_gauss)
+    q = 0.5 * d * x
+    a1, a2, k1, k2 = (np.broadcast_to(field, w.shape)[:, None] for field in patch.frame(w)[:4])
+    s1, s2 = 1.0 + q * k1, 1.0 + q * k2
+    g_ww, g_phph = 1.0 / (a1 * s1) ** 2, 1.0 / (a2 * s2) ** 2
+    weight = (2.0 * math.pi / n_theta) * 0.5 * d * gauss * np.ones_like(g_ww)
+    cos, d_cos = fourier_block("even", n_max, w)
+    m = np.arange(1, n_sines + 1)
+    phase = np.outer(m, 0.5 * math.pi * (x + 1.0))  # m pi (q + d/2)/d
+    sin, d_sin = np.sin(phase), (m * math.pi / d)[:, None] * np.cos(phase)
+    u, u_w, u_q = (np.einsum("ni,mj->ijnm", f, g) for f, g in ((cos, sin), (d_cos, sin), (cos, d_sin)))
+    if route == "laplacian":
+        u_w -= 0.5 * _periodic_derivative(np.log(a1 * a2 * s1 * s2))[:, :, None, None] * u
+        u_q -= 0.5 * (k1 / s1 + k2 / s2)[:, :, None, None] * u
+    elif route != "hermitian":
+        raise ValueError(f"route must be 'laplacian' or 'hermitian', got {route!r}")
+
+    def form(f, c, g):
+        size = f.shape[0] * f.shape[1]
+        return (f.reshape(size, -1) * (c * weight).reshape(size, 1)).T @ g.reshape(size, -1)
+
+    h = form(u_w, g_ww, u_w) + form(u_q, 1.0, u_q) + nu * nu * form(u, g_phph, u)
+    lower = np.linalg.cholesky(form(u, 1.0, u))
+    whitened = np.linalg.solve(lower, np.linalg.solve(lower, h).T)
+    return float(np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0]) - (math.pi / d) ** 2
+
+
 # -- tree-walk oracle of the compiled shape kernels ---------------------------
 #
 # The evaluator of shapes.py before shapes were compiled to kernels: it walks

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_torus_rejects_self_intersection():
         torus_metric_patch(1.0, 1.0)
     with pytest.raises(ValueError):
         torus_metric_patch(1.0, 2.0)
+
+
+def test_torus_whose_outer_equator_overflows_is_refused_by_its_radii():
+    # R + a = 3.3e308 is past the float range, so the frame's a2 at theta = 0 would be inf
+    want = "torus radii must have a finite outer equator radius R + a, got a=1.6e+308, R=1.7e+308"
+    with pytest.raises(ValueError) as info:
+        torus_metric_patch(1.7e308, 1.6e308)
+    assert type(info.value) is ValueError and str(info.value) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch = torus_metric_patch(1e308, 7e307)  # R + a = 1.7e308 is finite
+        assert patch.frame(0.0).a2 == 1e308 + 7e307 and curvature_sample(patch, 0.0).k2 > 0.0
 
 
 def test_torus_curvature_sample_outer_equator():

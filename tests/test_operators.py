@@ -592,10 +592,28 @@ def test_a_grid_enters_on_grid_once(dispatches):
     patch = graph_metric_patch(parse_shape("sqrt(9-rho^2)"), (0.1, 2.9))
     c0 = surface_operator(patch, "laplacian").c0
     grid = np.linspace(0.5, 2.5, 100)
-    for read in (patch.frame, c0, functools.partial(curvature_sample, patch)):
+    for read in (patch.frame, c0):
         dispatches.clear()
         read(grid)
         assert len(dispatches) == 1, read
+    # a curvature grid has no array builder: it is its float samples stacked, and never dispatches
+    dispatches.clear()
+    curvature_sample(patch, grid)
+    assert dispatches == []
+
+
+def test_a_failing_curvature_grid_computes_each_sample_once(monkeypatch):
+    # the 81st point of the grid leaves the patch's domain (0.1, 2.9): each of the 80
+    # points before it runs the shape kernel once and the float body once, and no replay follows
+    shape, runs = _counted_shape("sqrt(9-rho^2)")
+    patch = graph_metric_patch(shape, (0.1, 2.9))
+    bodies, mean = [], curvedq.geometry.mean_curvature
+    monkeypatch.setattr(curvedq.geometry, "mean_curvature", lambda k1, k2: bodies.append(k1) or mean(k1, k2))
+    with pytest.raises(ValueError) as error:
+        curvature_sample(patch, np.linspace(0.5, 3.5, 100))
+    assert type(error.value) is ValueError
+    assert str(error.value) == "coordinate 2.9242424242424243 outside patch domain [0.1, 2.9]"
+    assert (len(runs), len(bodies)) == (80, 80)
 
 
 def test_a_failing_grid_replays_the_scalar_path_once():

@@ -25,7 +25,13 @@ from curvedq.torus import (
     table_states,
 )
 
-from _helpers import half_density_potential, half_density_weak_form, reduced_torus_operator, reduced_weak_form
+from _helpers import (
+    half_density_potential,
+    half_density_weak_form,
+    reduced_torus_operator,
+    reduced_weak_form,
+    shell_ground_beta,
+)
 
 
 def _torus_coeffs(alpha, nu, formulation):
@@ -532,6 +538,26 @@ def test_route_difference_of_v0_is_profile_curvature_and_a_quarter_nu(major_radi
             hermitian = surface_operator(patch, "hermitian", nu, ordering).v0(theta)
             scale = 1.0 + np.abs(hermitian) + np.abs(want)
             assert np.all(np.abs(laplacian - hermitian - want) <= 1e-14 * scale), (nu, ordering)
+
+
+@pytest.mark.parametrize("alpha, nu", [(1.0 / 3.0, 0), (0.5, 1)])  # 0.5 is nu = 1's Laplacian magic ratio
+def test_thin_shell_limit_of_each_3d_operator_is_its_route(alpha, nu):
+    # the paper's claim as a limit: in a shell of thickness d, less (pi/d)^2, -Delta tends to
+    # the Laplacian route and H_eta to the Hermitian one (no V_C), both as d^2; Richardson in
+    # d^2 from d = 0.05 and 0.025 lands within 1e-7, and the other route lies 0.28 or more away
+    patch = torus_metric_patch(1.0 / alpha, 1.0)
+    surface = {
+        route: _block_betas(solve_spectrum(TorusProblem(alpha, nu, route, n_max=48)).entries, "even")[0]
+        for route in FORMULATIONS
+    }
+    for route in FORMULATIONS:
+        coarse, fine = (shell_ground_beta(patch, nu, route, d) for d in (0.05, 0.025))
+        if (route, nu) == ("hermitian", 0):  # u, a constant times the lowest sine, is exact at every d
+            assert abs(coarse) <= 1e-9 and abs(fine) <= 1e-9
+        limit = (4.0 * fine - coarse) / 3.0
+        other = surface["laplacian" if route == "hermitian" else "hermitian"]
+        assert abs(limit - surface[route]) <= 1e-7, (route, limit, surface[route])
+        assert abs(limit - other) >= 0.28, (route, limit, other)
 
 
 def test_nu_whose_centrifugal_term_overflows_is_refused():
