@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -139,10 +140,7 @@ def _cmd_spectrum(ns):
     if ns.format == "csv":
         width = max(len(e.coeffs) for e in entries)
         header = ["beta", "parity"] + [f"c{i}" for i in range(width)]
-        rows = []
-        for e in entries:
-            coeffs = list(e.coeffs) + [0.0] * (width - len(e.coeffs))
-            rows.append([e.beta, e.parity] + coeffs)
+        rows = [[e.beta, e.parity, *e.coeffs] + [0.0] * (width - len(e.coeffs)) for e in entries]
         return emit((header, rows), "csv", digits)
     payload = {
         "alpha": float(f"{problem.alpha:.12g}"),
@@ -229,14 +227,14 @@ def check_cancellation(samples, seed):
 
 
 def selfadjointness_defect(patch, coeffs, grid):
-    """max |(c2 weight)' - c1 weight| over a grid for an operator on `patch`.
+    """max |(c2 W)' - c1 W| over a grid for an operator on `patch`, W = a1 a2.
 
-    c2 weight = -a2/(2 a1) for every surface operator, so its derivative
-    is read exactly off the patch frame.
+    c2 W = -a2/(2 a1) for every surface operator, so its derivative and W
+    are read exactly off the patch frame.
     """
     fr = patch.frame(grid)
     slope = -0.5 * (fr.d_a2 / fr.a1 - fr.a2 * fr.d_a1 / (fr.a1 * fr.a1))
-    return float(np.max(np.abs(slope - coeffs.c1(grid) * coeffs.weight(grid))))
+    return float(np.max(np.abs(slope - coeffs.c1(grid) * (fr.a1 * fr.a2))))
 
 
 def _cmd_check(ns):
@@ -384,6 +382,8 @@ def build_parser():
     chk.add_argument("--seed", type=int, default=7)
     _add_common(chk, ("json",), digits=False)
 
+    for p in (parser, *subs.choices.values()):  # a minus then a digit or .digit is a value: -1e-3, -1/1000
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -84,9 +84,10 @@ class MomentumOp:
 
 @dataclass(frozen=True)
 class OperatorCoeffs:
-    """Second-order 1D operator c2 d^2/dw^2 + c1 d/dw + c0 with its measure density.
+    """Second-order 1D operator c2 d^2/dw^2 + c1 d/dw + c0 on a patch.
 
-    v0 is the zero-order term of the same operator in half-density form,
+    Its Sturm-Liouville weight W is the surface measure a1 a2 of
+    patch.frame(w).  v0 is the zero-order term in half-density form,
     W^(1/2) H W^(-1/2) = c2 d^2/dw^2 + (c1 - 2 c2 gamma) d/dw + v0 on the
     flat measure dw, which is (c2 v')' + v0 v for the self-adjoint operators.
     Each callable takes a float or a 1-D grid of w by the rule of
@@ -97,7 +98,6 @@ class OperatorCoeffs:
     c2: Callable
     c1: Callable
     c0: Callable
-    weight: Callable
     v0: Callable
 
 
@@ -179,8 +179,8 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
 
     The wave function is taken as psi(w) e^(i nu phi), in units
     hbar = m = 1.  Both formulations share the kinetic term of the module
-    docstring, c2 = -b/2 and c1 = -(1/2)(b' + 2 b gamma), so
-    (c2 * weight)' = c1 * weight with weight = a1 a2 (Sturm-Liouville form).
+    docstring, c2 = -b/2 and c1 = -(1/2)(b' + 2 b gamma), so (c2 W)' = c1 W
+    with the Sturm-Liouville weight W = a1 a2 of patch.frame(w).
     The zero-order term c0 is nu^2/(2 a2^2) plus V_C for "laplacian" and
     minus V_L = (1/2)(b' gamma + b gamma' + b gamma^2) for "hermitian"; no
     curvature potential appears there.  The half-density term v0 is
@@ -234,11 +234,8 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
         r = nu / fr.a2
         return 0.5 * (r * r)
 
-    def weight(fr):
-        return fr.a1 * fr.a2
-
     c0 = c0_laplacian if laplacian else c0_hermitian
-    return OperatorCoeffs(*map(patch.lift, (c2, c1, c0, weight, v0)))
+    return OperatorCoeffs(*map(patch.lift, (c2, c1, c0, v0)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -24,12 +24,12 @@ eigenproblem, diagonalized by LAPACK through numpy's `eigh`; numpy is the
 only runtime dependency.
 
 States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
-{sin n theta} basis: the u-weighted projection, solved with the
-closed-form tridiagonal overlap `overlap_analytic`, followed by Loewdin's
-symmetric orthonormalization (Loewdin, J. Chem. Phys. 18, 365 (1950)), so
-the reported coefficients satisfy int psi_i psi_j u dtheta = delta_ij in
-the truncated basis exactly; the largest-magnitude coefficient of each
-state is positive.
+{sin n theta} basis: a projection on the patch measure u, read off the
+torus frame and integrated by the trapezoid rule that builds H (the tests
+hold it to the closed form `overlap_analytic`), then Loewdin's symmetric
+orthonormalization (Loewdin, J. Chem. Phys. 18, 365 (1950)), so the
+coefficients satisfy int psi_i psi_j u dtheta = delta_ij in the truncated
+basis exactly; the largest-magnitude coefficient of each state is positive.
 
 Special values of alpha kill the azimuthal part of the potential
 ("magic" aspect ratios): alpha = 1/(2 nu) for the laplacian form and
@@ -251,15 +251,17 @@ def solve_spectrum(problem):
     `listing_key`, which puts such a pair odd first.
     """
     entries = []
+    patch = torus_metric_patch(1.0 / problem.alpha, 1.0)
     for parity in PARITIES:
         h, s = assemble(problem, parity)
         scale = 1.0 / np.sqrt(np.diag(s))
         vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
         # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta
         theta, width, phi, _ = _basis(parity, problem.n_max, problem.n_quad)
-        root_u = np.sqrt(1.0 + problem.alpha * np.cos(theta))
-        s_u = overlap_analytic(problem.alpha, parity, problem.n_max)
-        coeffs = np.linalg.solve(s_u, (phi * (width * root_u)) @ phi.T @ (scale[:, None] * vecs))
+        fr = patch.frame(theta)
+        u = problem.alpha * fr.a1 * fr.a2
+        s_u = (phi * (width * u)) @ phi.T
+        coeffs = np.linalg.solve(s_u, (phi * (width * np.sqrt(u))) @ phi.T @ (scale[:, None] * vecs))
         gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)
         coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
         for beta, c in zip(vals, coeffs.T):

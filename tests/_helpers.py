@@ -100,6 +100,12 @@ def random_shape_source(rng, index):
     return poly_source(rng.uniform(-1.0, 1.0, size=4))
 
 
+def surface_measure(patch, w):
+    """a1 a2 of patch.frame(w): the surface measure, the Sturm-Liouville weight of every surface operator."""
+    fr = patch.frame(w)
+    return fr.a1 * fr.a2
+
+
 def trapezoid_fourier(values, theta, n):
     """Periodic-trapezoid Fourier cosine/sine coefficient of sampled values."""
     width = 2.0 * np.pi / len(theta)
@@ -237,9 +243,10 @@ def _periodic_derivative(values):
     return np.fft.irfft(1j * k[:, None] * np.fft.rfft(values, axis=0), n, axis=0)
 
 
-def shell_ground_beta(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_gauss=40):
-    """The even ground state's beta in the shell of thickness d around a periodic
-    patch of period 2 pi, less the transverse (pi/d)^2.
+def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_gauss=40):
+    """The even states' betas in the shell of thickness d around a periodic patch
+    of period 2 pi, in ascending order, less the transverse (pi/d)^2; index 0
+    is the even ground state.
 
     route "laplacian" is -Delta, "hermitian" the paper's H_eta (see above).  u is
     expanded in {cos n w, n <= n_max} times n_sines Dirichlet sines in q, on
@@ -270,7 +277,7 @@ def shell_ground_beta(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_g
     h = form(u_w, g_ww, u_w) + form(u_q, 1.0, u_q) + nu * nu * form(u, g_phph, u)
     lower = np.linalg.cholesky(form(u, 1.0, u))
     whitened = np.linalg.solve(lower, np.linalg.solve(lower, h).T)
-    return float(np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0]) - (math.pi / d) ** 2
+    return np.linalg.eigvalsh(0.5 * (whitened + whitened.T)) - (math.pi / d) ** 2
 
 
 # -- tree-walk oracle of the compiled shape kernels ---------------------------

@@ -409,6 +409,20 @@ def test_curvature_focal_error_exit_1(capsys):
     assert "focal" in err
 
 
+def test_negative_values_in_exponent_or_fraction_form_are_values(capsys):
+    # argparse alone reads "-1e-3" and "-1/1000" as options; a minus then a digit or .digit is a value
+    base = ["curvature", "--torus", "3", "1", "--points", "2", "--format", "table"]
+    want = _run(capsys, base + ["--q", "-0.001"])
+    assert want[0] == 0
+    for q in ("-1e-3", "-1E-3", "-1/1000", "-.001"):
+        assert _run(capsys, base + ["--q", q]) == want, q
+    assert _run(capsys, base + ["--wmin", "-1e-1", "--wmax", "1"])[0] == 0
+    code, out, err = _run(capsys, ["curvature", "--torus", "3", "-1e0", "--points", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: torus radii must be finite with 0 < a < R, got a=-1.0, R=3.0\n"
+    assert _run(capsys, base + ["--q", "-x"])[0] == 2  # a minus then a letter stays an option
+
+
 def test_curvature_non_finite_literal_exit_1(capsys):
     code, out, err = _run(capsys, ["curvature", "--shape=1e400+rho^2", "--wmin", "0.2", "--wmax", "1"])
     assert code == 1 and out == ""
@@ -619,7 +633,7 @@ def test_check_subcommand(capsys):
 
 
 def test_check_ordering_defects_are_exact(capsys):
-    # (c2 weight)' is taken from the frame, so the self-adjoint ordering reads rounding only
+    # (c2 a1 a2)' is taken from the frame, so the self-adjoint ordering reads rounding only
     code, out, _ = _run(capsys, ["check", "--samples", "1"])
     assert code == 0
     defect = json.loads(out)["hermiticity"]["ordering_selfadjointness_defect"]

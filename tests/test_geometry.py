@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -23,6 +24,8 @@ from curvedq.geometry import (
 )
 from curvedq.operators import FORMULATIONS, ORDERINGS, hermitian_momenta, surface_operator
 from curvedq.shapes import ShapeDomainError, parse_shape
+
+from _helpers import surface_measure
 
 
 def test_plane_has_no_curvature():
@@ -277,7 +280,7 @@ def test_graph_frame_refuses_non_finite_fields():
     # the jet of 1e300*rho^2 is finite, but Z'' overflows at rho = 0 and Z past it
     source = "1e300*rho^2"
     patch = graph_metric_patch(parse_shape(source), (0.0, 1.0))
-    weight = surface_operator(patch, "laplacian").weight
+    weight = functools.partial(surface_measure, patch)
     for rho in (0.0, -0.0, 0.5, 1.0):
         want = f"non-finite metric frame in '{parse_shape(source)}' at rho={rho!r}"
         for read in (patch.frame, weight, lambda w: curvature_sample(patch, w)):
@@ -385,7 +388,7 @@ def test_graph_frame_memo_gives_a_fresh_patchs_results(source, visits, cap):
 
 def test_graph_frame_memo_keeps_signed_zeros_input_types_and_errors():
     patch = graph_metric_patch(parse_shape("1-rho^2"), (0.0, 0.9))
-    weight = surface_operator(patch, "laplacian").weight
+    weight = functools.partial(surface_measure, patch)
     c0 = surface_operator(patch, "hermitian", 1).c0
     assert repr(patch.frame(0.0).a2) == "0.0" and repr(patch.frame(-0.0).a2) == "-0.0"
     assert repr(weight(0.0)) == "0.0" and repr(weight(-0.0)) == "-0.0"
@@ -455,7 +458,7 @@ def test_replacing_a_patchs_point_gives_a_fresh_frame_memo():
     p_w, _, p_q = hermitian_momenta(stretched)
     assert stretched.frame(w) == want != old
     assert surface_operator(stretched, "hermitian", 1).c2(w) == -0.5 / (want.a1 * want.a1)
-    assert surface_operator(stretched, "laplacian").weight(w) == want.a1 * want.a2
+    assert surface_measure(stretched, w) == want.a1 * want.a2
     assert p_w.drift(w) == 0.5 * (want.d_a1 / want.a1 + want.d_a2 / want.a2)
     assert p_q.drift(w) == 0.5 * (want.k1 + want.k2)
     sample = curvature_sample(stretched, w)

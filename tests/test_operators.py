@@ -30,6 +30,7 @@ from _helpers import (
     poly_source,
     random_shape_source,
     random_smooth_source,
+    surface_measure,
 )
 
 
@@ -65,7 +66,7 @@ def test_one_jet_walk_per_graph_frame(monkeypatch, jet3_calls):
     for formulation in FORMULATIONS:
         for ordering in ORDERINGS:
             coeffs = surface_operator(patch, formulation, 1, ordering)
-            for name in ("c2", "c1", "c0", "weight", "v0"):
+            for name in ("c2", "c1", "c0", "v0"):
                 assert walks(getattr(coeffs, name), next(fresh)) == 1, (formulation, ordering, name)
     # a grid of rho costs one walk of the array kernel, not one per point
     assert walks(patch.frame, np.linspace(0.2, 1.8, 64)) == 1
@@ -147,7 +148,7 @@ def test_frame_memo_drops_the_least_recently_read_frame(monkeypatch, jet3_calls)
 def test_frame_memo_keeps_no_frame_at_either_zero(jet3_calls):
     # the memo is keyed on w alone, where 0.0 == -0.0: a frame at either zero is built on every read
     patch = graph_metric_patch(parse_shape("1-rho^2+rho^3"), (0.0, 0.9))
-    weight = surface_operator(patch, "laplacian").weight
+    weight = functools.partial(surface_measure, patch)
     for _ in range(2):
         for zero in (0.0, -0.0):
             assert repr(patch.frame(zero).a2) == repr(zero) and repr(weight(zero)) == repr(zero)
@@ -305,11 +306,11 @@ def test_laplacian_is_sturm_liouville_self_adjoint():
     coeffs = surface_operator(patch, "laplacian", nu=2)
 
     def c2w(w):
-        return coeffs.c2(w) * coeffs.weight(w)
+        return coeffs.c2(w) * surface_measure(patch, w)
 
     for rho in np.linspace(0.4, 1.7, 30):
         lhs = _fd(c2w, float(rho))
-        rhs = coeffs.c1(float(rho)) * coeffs.weight(float(rho))
+        rhs = coeffs.c1(float(rho)) * surface_measure(patch, float(rho))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -379,9 +380,9 @@ def test_sandwich_is_self_adjoint_on_graphs_left_is_not():
 
     def defect(coeffs):
         def c2w(w):
-            return coeffs.c2(w) * coeffs.weight(w)
+            return coeffs.c2(w) * surface_measure(patch, w)
 
-        return max(abs(_fd(c2w, float(w)) - coeffs.c1(float(w)) * coeffs.weight(float(w))) for w in grid)
+        return max(abs(_fd(c2w, float(w)) - coeffs.c1(float(w)) * surface_measure(patch, float(w))) for w in grid)
 
     assert defect(surface_operator(patch, "hermitian", 0, "sandwich")) <= 1e-9
     assert defect(surface_operator(patch, "hermitian", 0, "left")) >= 1e-2
@@ -566,7 +567,7 @@ def test_grid_checks_read_each_field_once_per_grid():
     calls.clear()
     graph = counted(graph_metric_patch(parse_shape("sqrt(4-rho^2)"), (0.2, 1.8)))
     selfadjointness_defect(graph, surface_operator(graph, "hermitian", 0), np.linspace(0.3, 1.7, 29))
-    assert calls == [1, 1, 1]  # the slope of c2 weight, c1 and weight
+    assert calls == [1, 1]  # the frame, which gives the slope of c2 a1 a2 and a1 a2, and c1
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import curvedq.torus
 from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
 from curvedq.operators import FORMULATIONS, ORDERINGS, surface_operator
@@ -30,7 +31,8 @@ from _helpers import (
     half_density_weak_form,
     reduced_torus_operator,
     reduced_weak_form,
-    shell_ground_beta,
+    shell_even_betas,
+    surface_measure,
 )
 
 
@@ -85,9 +87,9 @@ def test_problem_rejects_fractional_sizes():
 
 def test_weight_function():
     # u = alpha a1 a2 on the torus patch of unit minor radius
-    op = _torus_coeffs(0.25, 0, "laplacian")
-    assert 0.25 * op.weight(0.0) == 1.25
-    assert 0.25 * op.weight(math.pi) == 0.75
+    patch = torus_metric_patch(1.0 / 0.25, 1.0)
+    assert 0.25 * surface_measure(patch, 0.0) == 1.25
+    assert 0.25 * surface_measure(patch, math.pi) == 0.75
 
 
 def test_magic_radius_kills_laplacian_potential():
@@ -110,7 +112,7 @@ def test_small_alpha_hermitian_potential_vanishes():
 
 
 def test_torus_operators_are_sturm_liouville_self_adjoint():
-    # (c2 weight)' = c1 weight is what lets assemble drop c1 from the weak form
+    # (c2 a1 a2)' = c1 a1 a2 is what lets assemble drop c1 from the weak form
     grid = np.linspace(0.0, 2.0 * math.pi, 37)
     for alpha in (0.05, 1.0 / 3.0, 0.5, 0.9, 0.99):
         patch = torus_metric_patch(1.0 / alpha, 1.0)
@@ -131,11 +133,12 @@ def test_overlap_entries_alpha_one_third():
 
 def test_quadrature_overlap_matches_analytic():
     # the half-density block has the flat Gram matrix diag(2 pi, pi, ...); the
-    # u-weighted overlap that maps states back to psi is the closed form
+    # u-weighted overlap that maps states back to psi, u = alpha a1 a2 off the
+    # patch frame as solve_spectrum reads it, is the closed form
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0):
         problem = TorusProblem(alpha, 0, "laplacian")
         theta = np.arange(problem.n_quad) * 2.0 * math.pi / problem.n_quad
-        u = 1.0 + alpha * np.cos(theta)
+        u = alpha * surface_measure(torus_metric_patch(1.0 / alpha, 1.0), theta)
         for parity in ("even", "odd"):
             _, s = assemble(problem, parity)
             flat = math.pi * np.eye(len(s))
@@ -447,6 +450,34 @@ def test_spectrum_sorted_and_s_orthonormal(config):
         assert np.max(np.abs(gram - np.eye(len(coeffs)))) <= 1e-10
 
 
+def test_solve_spectrum_projects_by_quadrature_not_the_closed_form(monkeypatch):
+    # the eight lowest betas of each problem, solved with overlap_analytic in the projection
+    lowest = {
+        (0.5, 1, "laplacian"): [
+            1.3460838325297191e-17, 0.9767313134744867, 1.1222882712026327, 4.032698970037285,
+            4.051723729084683, 9.039171871971167, 9.041067864197625, 16.03937900621826,
+        ],
+        (0.95, 3, "hermitian"): [
+            3.3741571153863434, 6.232503135660846, 9.833885544624954, 14.142047007031895,
+            19.13103301090091, 24.781007583471126, 31.07611240814027, 38.003244716796765,
+        ],
+    }
+
+    def refused(*args):
+        raise AssertionError("solve_spectrum called overlap_analytic")
+
+    monkeypatch.setattr(curvedq.torus, "overlap_analytic", refused)
+    for (alpha, nu, formulation), want in lowest.items():
+        problem = TorusProblem(alpha, nu, formulation)
+        result = solve_spectrum(problem)
+        betas = [e.beta for e in result.entries[: len(want)]]
+        assert all(abs(b - w) <= 1e-12 * max(1.0, w) for b, w in zip(betas, want)), (alpha, betas)
+        for parity in PARITIES:
+            coeffs = np.array([e.coeffs for e in result.entries if e.parity == parity])
+            gram = coeffs @ overlap_analytic(alpha, parity, problem.n_max) @ coeffs.T
+            assert np.max(np.abs(gram - np.eye(len(coeffs)))) <= 1e-12, (alpha, parity)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_configs, st.integers(1, 6))
 def test_spectrum_obeys_rayleigh_ritz_in_basis_size(config, extra):
@@ -551,13 +582,30 @@ def test_thin_shell_limit_of_each_3d_operator_is_its_route(alpha, nu):
         for route in FORMULATIONS
     }
     for route in FORMULATIONS:
-        coarse, fine = (shell_ground_beta(patch, nu, route, d) for d in (0.05, 0.025))
+        coarse, fine = (shell_even_betas(patch, nu, route, d)[0] for d in (0.05, 0.025))
         if (route, nu) == ("hermitian", 0):  # u, a constant times the lowest sine, is exact at every d
             assert abs(coarse) <= 1e-9 and abs(fine) <= 1e-9
         limit = (4.0 * fine - coarse) / 3.0
         other = surface["laplacian" if route == "hermitian" else "hermitian"]
         assert abs(limit - surface[route]) <= 1e-7, (route, limit, surface[route])
         assert abs(limit - other) >= 0.28, (route, limit, other)
+
+
+def test_thin_shell_hermitian_ladder_follows_its_first_order_formula():
+    # at nu = 0, H_eta's even states sit at n^2 + 3 n^2 d^2 (1/12 - 1/(2 pi^2)) + O(d^4): 1/(1 + q)^2
+    # = 1 - 2q + 3q^2 - ... averaged over the lowest sine in q; Richardson in d^2 from d = 0.1 and
+    # 0.05 lands within 1e-5 of it.  The problem never reads a2 there, so alpha leaves it unchanged.
+    shells = [
+        [shell_even_betas(torus_metric_patch(1.0 / alpha, 1.0), 0, "hermitian", d) for d in (0.1, 0.05)]
+        for alpha in (1.0 / 3.0, 0.8)
+    ]
+    for one_third, wide in zip(*shells):
+        assert np.array_equal(one_third, wide)
+    coarse, fine = shells[0]
+    for n in (1, 2, 3):
+        limit = (4.0 * (fine[n] - n * n) / 0.05**2 - (coarse[n] - n * n) / 0.1**2) / 3.0
+        want = 3.0 * n * n * (1.0 / 12.0 - 1.0 / (2.0 * math.pi**2))
+        assert abs(limit - want) <= 1e-5 * want, (n, limit, want)
 
 
 def test_nu_whose_centrifugal_term_overflows_is_refused():
