@@ -35,8 +35,8 @@ _EXPORTS = {
         "rescaling_potential", "surface_operator",
     ),
     "torus": (
-        "JacobiConvergenceError", "SpectrumEntry", "SpectrumResult", "TorusProblem", "assemble",
-        "jacobi_eigh", "magic_alpha", "overlap_analytic", "solve_spectrum", "table_states",
+        "SpectrumEntry", "SpectrumResult", "TorusProblem", "assemble", "magic_alpha", "solve_spectrum",
+        "table_states",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

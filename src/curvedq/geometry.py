@@ -233,6 +233,9 @@ def torus_metric_patch(major_radius, minor_radius):
         raise ValueError(f"torus radii must have a finite outer equator radius R + a, got a={a}, R={R}")
 
     def frame(w):
+        # cos(nan) sets no numpy flag, so a grid is tested here too; on_grid's replay names its first such point
+        if not (math.isfinite(w) if type(w) is float else np.isfinite(w).all()):
+            raise ValueError(f"torus frame needs a finite theta, got theta={w!r}")
         c, s = np.cos(w), np.sin(w)
         a2 = R + a * c
         return Frame(a, a2, 1.0 / a, c / a2, 0.0, -a * s, 0.0, -a * c)

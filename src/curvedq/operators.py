@@ -64,6 +64,7 @@ from .shapes import ShapeExpr, eval_jet2
 
 FORMULATIONS = ("laplacian", "hermitian")
 ORDERINGS = ("left", "sandwich")
+N_NODES = 512  # of hermiticity_residual's quadrature rule
 
 
 class BoundaryCompatibilityError(ValueError):
@@ -238,10 +239,10 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     return OperatorCoeffs(*map(patch.lift, (c2, c1, c0, v0)))
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_points):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per size; read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
+@functools.cache
+def _gauss_legendre():
+    """The N_NODES Gauss-Legendre nodes and weights on [-1, 1], built once; read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(N_NODES)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -255,28 +256,26 @@ def _values_and_slopes(fn, ws):
     return jet.value, jet.d1
 
 
-def hermiticity_residual(op, patch, f, g, n_points=512):
+def hermiticity_residual(op, patch, f, g):
     """|<f, Pg> - <Pf, g>| under the surface measure a1 a2 dw at q = 0.
 
     f and g are real test functions given as ShapeExpr (the grammar variable
     plays the role of w); the measure is read in one call on the whole grid,
-    and the drift of a momentum of this patch off the same frame.  On
-    periodic patches the inner product uses the periodic trapezoid rule; on
-    open patches, Gauss-Legendre nodes, and f, g must vanish at both endpoints.
+    and the drift of a momentum of this patch off the same frame.  The rule
+    has N_NODES nodes: the periodic trapezoid rule on periodic patches, and
+    Gauss-Legendre on open ones, where f, g must vanish at both endpoints.
 
     For an azimuthal momentum (op.label "phi") the integral runs over one
     period of phi, [0, 2 pi) by the periodic trapezoid rule, with measure 1:
     the measure is phi-independent and drops out.
     """
-    if (n_points := integer("n_points", n_points)) < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
     azimuthal = op.label == "phi"
     if not azimuthal and op.label != patch.label:
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
     lo, hi = (0.0, 2.0 * math.pi) if azimuthal else patch.domain
     if azimuthal or patch.boundary == "periodic":
-        theta = np.linspace(lo, hi, n_points, endpoint=False)
-        wq = (hi - lo) / n_points
+        theta = np.linspace(lo, hi, N_NODES, endpoint=False)
+        wq = (hi - lo) / N_NODES
     else:
         for name, fn in (("f", f), ("g", g)):
             for end, val in zip((lo, hi), _values_and_slopes(fn, (lo, hi))[0]):
@@ -284,7 +283,7 @@ def hermiticity_residual(op, patch, f, g, n_points=512):
                     raise BoundaryCompatibilityError(
                         f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
                     )
-        nodes, gw = _gauss_legendre(n_points)
+        nodes, gw = _gauss_legendre()
         theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         wq = 0.5 * (hi - lo) * gw
     fr = None if azimuthal else patch.frame(theta)

@@ -44,8 +44,6 @@ import numpy as np
 from . import jets
 from .jets import FUNCTIONS, Jet3, on_grid
 
-FUNCTION_NAMES = FUNCTIONS  # in this order: seeded test trees index into it
-
 
 class ShapeError(ValueError):
     """Base class for shape-expression failures."""
@@ -259,7 +257,7 @@ class _Parser:
                 return Var()
             if text == "pi":
                 return Const("pi")
-            if text in FUNCTION_NAMES:
+            if text in FUNCTIONS:
                 if self.peek()[0] != "(":
                     self.fail(("'(' after function name",))
                 self.take()

@@ -114,7 +114,6 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    problem: TorusProblem
     entries: tuple
 
 
@@ -269,7 +268,7 @@ def solve_spectrum(problem):
                 c = -c
             entries.append(SpectrumEntry(beta=float(beta), nu=problem.nu, parity=parity, coeffs=c))
     entries.sort(key=lambda e: e.beta)
-    return SpectrumResult(problem=problem, entries=tuple(entries))
+    return SpectrumResult(entries=tuple(entries))
 
 
 def magic_alpha(nu, formulation):

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from curvedq.jets import FUNCTIONS
+from curvedq.operators import surface_operator
 from curvedq.shapes import (
-    FUNCTION_NAMES,
     BinOp,
     Call,
     Const,
@@ -72,7 +73,7 @@ def random_shape_tree(rng, depth):
     two leaves in five, and literals are small integers or uniform floats."""
     kind = int(rng.integers(0, 4)) if depth > 1 else 0
     if kind == 1:
-        return Call(FUNCTION_NAMES[int(rng.integers(0, len(FUNCTION_NAMES)))], random_shape_tree(rng, depth - 1))
+        return Call(FUNCTIONS[int(rng.integers(0, len(FUNCTIONS)))], random_shape_tree(rng, depth - 1))
     if kind == 2 and rng.random() < 0.3:
         return Neg(random_shape_tree(rng, depth - 1))
     if kind >= 2:
@@ -220,7 +221,7 @@ def per_node_hermiticity_residual(op, patch, f, g, n_points=512):
     return abs(total)
 
 
-# -- thin-shell oracle: the 3-D operators in a shell around a periodic patch --
+# -- thin-shell oracle: the 3-D operators in a shell around a patch -----------
 #
 # A shell of thickness d around the surface, -d/2 <= q <= d/2, with Dirichlet
 # walls.  In the half-density u = G^(1/4) psi on the flat measure dw dq, with
@@ -243,27 +244,37 @@ def _periodic_derivative(values):
     return np.fft.irfft(1j * k[:, None] * np.fft.rfft(values, axis=0), n, axis=0)
 
 
-def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_gauss=40):
-    """The even states' betas in the shell of thickness d around a periodic patch
-    of period 2 pi, in ascending order, less the transverse (pi/d)^2; index 0
-    is the even ground state.
-
-    route "laplacian" is -Delta, "hermitian" the paper's H_eta (see above).  u is
-    expanded in {cos n w, n <= n_max} times n_sines Dirichlet sines in q, on
-    n_theta trapezoid nodes in w and n_gauss Gauss-Legendre nodes in q.
-    """
-    w = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+def dirichlet_sines(domain, n_sines, n_gauss):
+    """n_gauss Gauss-Legendre nodes and weights on the interval domain, and the
+    Dirichlet sines sin(m pi (w - lo)/(hi - lo)), m = 1..n_sines, and their
+    derivatives there: rows are basis functions."""
+    lo, hi = domain
     x, gauss = np.polynomial.legendre.leggauss(n_gauss)
-    q = 0.5 * d * x
+    m = np.arange(1, n_sines + 1)
+    phase = np.outer(m, 0.5 * math.pi * (x + 1.0))  # m pi (w - lo)/(hi - lo)
+    nodes, weights = 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * gauss
+    return nodes, weights, np.sin(phase), (m * math.pi / (hi - lo))[:, None] * np.cos(phase)
+
+
+def _symmetric_eigvalsh(h, s):
+    """Eigenvalues of h x = beta s x, ascending, s whitened by its Cholesky factor."""
+    lower = np.linalg.cholesky(s)
+    whitened = np.linalg.solve(lower, np.linalg.solve(lower, h).T)
+    return np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+
+
+def _shell_betas(patch, nu, route, d, w, w_weight, basis, d_basis, n_sines, n_gauss):
+    """The betas in the shell of thickness d around patch, u expanded in the rows
+    of basis (values at the nodes w, of weights w_weight; d_basis their slopes)
+    times n_sines Dirichlet sines in q on n_gauss Gauss-Legendre nodes, less
+    (pi/d)^2.  route "laplacian" differentiates ln G spectrally: w must then
+    be equispaced over one period 2 pi."""
+    q, q_weight, sin, d_sin = dirichlet_sines((-0.5 * d, 0.5 * d), n_sines, n_gauss)
     a1, a2, k1, k2 = (np.broadcast_to(field, w.shape)[:, None] for field in patch.frame(w)[:4])
     s1, s2 = 1.0 + q * k1, 1.0 + q * k2
     g_ww, g_phph = 1.0 / (a1 * s1) ** 2, 1.0 / (a2 * s2) ** 2
-    weight = (2.0 * math.pi / n_theta) * 0.5 * d * gauss * np.ones_like(g_ww)
-    cos, d_cos = fourier_block("even", n_max, w)
-    m = np.arange(1, n_sines + 1)
-    phase = np.outer(m, 0.5 * math.pi * (x + 1.0))  # m pi (q + d/2)/d
-    sin, d_sin = np.sin(phase), (m * math.pi / d)[:, None] * np.cos(phase)
-    u, u_w, u_q = (np.einsum("ni,mj->ijnm", f, g) for f, g in ((cos, sin), (d_cos, sin), (cos, d_sin)))
+    weight = np.outer(w_weight, q_weight)
+    u, u_w, u_q = (np.einsum("ni,mj->ijnm", f, g) for f, g in ((basis, sin), (d_basis, sin), (basis, d_sin)))
     if route == "laplacian":
         u_w -= 0.5 * _periodic_derivative(np.log(a1 * a2 * s1 * s2))[:, :, None, None] * u
         u_q -= 0.5 * (k1 / s1 + k2 / s2)[:, :, None, None] * u
@@ -275,9 +286,45 @@ def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_ga
         return (f.reshape(size, -1) * (c * weight).reshape(size, 1)).T @ g.reshape(size, -1)
 
     h = form(u_w, g_ww, u_w) + form(u_q, 1.0, u_q) + nu * nu * form(u, g_phph, u)
-    lower = np.linalg.cholesky(form(u, 1.0, u))
-    whitened = np.linalg.solve(lower, np.linalg.solve(lower, h).T)
-    return np.linalg.eigvalsh(0.5 * (whitened + whitened.T)) - (math.pi / d) ** 2
+    return _symmetric_eigvalsh(h, form(u, 1.0, u)) - (math.pi / d) ** 2
+
+
+def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_gauss=40):
+    """The even states' betas in the shell of thickness d around a periodic patch
+    of period 2 pi, in ascending order, less the transverse (pi/d)^2; index 0
+    is the even ground state.
+
+    route "laplacian" is -Delta, "hermitian" the paper's H_eta (see above).  u is
+    expanded in {cos n w, n <= n_max} times n_sines Dirichlet sines in q, on
+    n_theta trapezoid nodes in w and n_gauss Gauss-Legendre nodes in q.
+    """
+    w = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    cos, d_cos = fourier_block("even", n_max, w)
+    width = np.full(n_theta, 2.0 * math.pi / n_theta)
+    return _shell_betas(patch, nu, route, d, w, width, cos, d_cos, n_sines, n_gauss)
+
+
+def shell_open_betas(patch, nu, d, n_sines_w=24, n_gauss_w=128, n_sines=8, n_gauss=40):
+    """The betas of the paper's H_eta in the shell of thickness d around an open
+    patch, Dirichlet at its ends, in ascending order, less (pi/d)^2.
+
+    u is expanded in n_sines_w Dirichlet sines in w on n_gauss_w Gauss-Legendre
+    nodes, times n_sines sines in q on n_gauss nodes.  H_eta needs no derivative
+    of G; -Delta would need d ln G / dw, so k1', which a Frame does not carry.
+    """
+    w, w_weight, sin, d_sin = dirichlet_sines(patch.domain, n_sines_w, n_gauss_w)
+    return _shell_betas(patch, nu, "hermitian", d, w, w_weight, sin, d_sin, n_sines, n_gauss)
+
+
+def dirichlet_surface_betas(patch, formulation, nu, n_sines=24, n_gauss=128):
+    """The betas of surface_operator(patch, formulation, nu) on an open patch,
+    Dirichlet at its ends, in ascending order: the half-density weak form of its
+    c2 and v0 on the flat measure dw, as torus.assemble builds it, in the
+    Dirichlet sines of shell_open_betas."""
+    w, weight, phi, dphi = dirichlet_sines(patch.domain, n_sines, n_gauss)
+    op = surface_operator(patch, formulation, nu)
+    h = (dphi * (-2.0 * weight * op.c2(w))) @ dphi.T + (phi * (2.0 * weight * op.v0(w))) @ phi.T
+    return _symmetric_eigvalsh(h, (phi * weight) @ phi.T)
 
 
 # -- tree-walk oracle of the compiled shape kernels ---------------------------

@@ -214,11 +214,11 @@ def test_criterion_09_hermiticity_on_the_torus():
         "1", "cos(rho)", "sin(rho)", "cos(2*rho)", "sin(2*rho)", "cos(3*rho)", "sin(3*rho)",
     )]
     worst = max(
-        cq.hermiticity_residual(p_theta, patch, f, g, n_points=256) for f in basis for g in basis
+        cq.hermiticity_residual(p_theta, patch, f, g) for f in basis for g in basis
     )
-    worst_phi = cq.hermiticity_residual(p_phi, patch, basis[1], basis[2], n_points=256)
+    worst_phi = cq.hermiticity_residual(p_phi, patch, basis[1], basis[2])
     naive = cq.MomentumOp("theta", lambda w: 0.0)
-    control = cq.hermiticity_residual(naive, patch, basis[0], basis[2], n_points=256)
+    control = cq.hermiticity_residual(naive, patch, basis[0], basis[2])
     ok = worst <= 1e-10 and worst_phi <= 1e-10 and control >= 0.1
     _report(9, "constructed momenta Hermitian over trig basis; drift-stripped control fails",
             ok, f"worst {worst:.2e}, phi {worst_phi:.2e}, control {control:.3f}")

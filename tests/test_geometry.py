@@ -276,6 +276,25 @@ def test_curvature_sample_refuses_non_finite_w_and_q():
                 assert (type(info.value), str(info.value)) == _first_error(patch, grid, q), (patch.label, w, q)
 
 
+@pytest.mark.filterwarnings("error")
+def test_torus_frame_refuses_a_non_finite_theta():
+    # cos(nan) sets no numpy flag, so the torus builder tests theta itself; on a grid,
+    # on_grid's replay names the first non-finite point
+    patch = torus_metric_patch(3.0, 1.0)
+    coeffs, p_theta = surface_operator(patch, "laplacian"), hermitian_momenta(patch)[0]
+    for read in (patch.frame, coeffs.c0, p_theta.drift):
+        for bad in (math.nan, math.inf, -math.inf):
+            for _ in range(2):  # a frame that raises is never kept
+                with pytest.raises(ValueError, match=f"^torus frame needs a finite theta, got theta={bad}$"):
+                    read(bad)
+        with pytest.raises(ValueError, match="^torus frame needs a finite theta, got theta=nan$"):
+            read([0.0, 1.0, math.nan, math.inf])
+    # curvature_sample refuses first, by its own message
+    for w in (math.inf, [0.0, math.nan]):
+        with pytest.raises(ValueError, match="^curvature sample needs a finite w and q"):
+            curvature_sample(patch, w)
+
+
 def test_graph_frame_refuses_non_finite_fields():
     # the jet of 1e300*rho^2 is finite, but Z'' overflows at rho = 0 and Z past it
     source = "1e300*rho^2"

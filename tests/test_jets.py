@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from curvedq import jets
-from curvedq.jets import Jet3
-from curvedq.shapes import FUNCTION_NAMES, ShapeDomainError, eval_jet3, parse_shape
+from curvedq.jets import FUNCTIONS, Jet3
+from curvedq.shapes import ShapeDomainError, eval_jet3, parse_shape
 
 from _helpers import poly_derivative, poly_eval, poly_source, random_poly
 
@@ -28,7 +28,7 @@ def test_variable_and_constant():
 def test_jet3_is_a_plain_record():
     assert Jet3._fields == ("value", "d1", "d2", "d3")
     assert [name for name in vars(Jet3) if not name.startswith("_")] == ["value", "d1", "d2", "d3"]
-    for name in ("__neg__", "__add__", "__mul__", "__truediv__", "__pow__", "variable", "constant") + jets.FUNCTIONS:
+    for name in ("__neg__", "__add__", "__mul__", "__truediv__", "__pow__", "variable", "constant") + FUNCTIONS:
         assert name not in vars(Jet3), name
     # a tuple: + concatenates, it applies no rule
     assert Jet3(1.0, 2.0, 3.0, 4.0) + (5.0,) == (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -127,9 +127,9 @@ def test_jet3_third_derivatives():
         "tanh": 4.0 * sech2 * math.tanh(x) ** 2 - 2.0 * sech2 * sech2,
     }
     # the grammar's functions in its order, which seeded test trees index into, are the rules' functions
-    assert tuple(cases) == FUNCTION_NAMES
+    assert tuple(cases) == FUNCTIONS
     for rules in (jets.SCALAR, jets.ARRAY):
-        assert set(rules.table) == {"neg", "+", "-", "*", "/", "^"} | set(FUNCTION_NAMES)
+        assert set(rules.table) == {"neg", "+", "-", "*", "/", "^"} | set(FUNCTIONS)
     for name, ref in cases.items():
         assert jet(f"{name}(rho)", x).d3 == pytest.approx(ref, rel=1e-12), name
     # tanh third derivative cross-checked against the identity (1-t^2)(6t^2-2)

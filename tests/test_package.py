@@ -1,5 +1,7 @@
 """The lazy package namespace and the BLAS thread count of a CLI process."""
 
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,7 +43,7 @@ def test_import_curvedq_loads_no_numpy():
 
 def test_every_public_name_resolves_to_its_home_module_object():
     names = [name for name in curvedq.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 38
     listed = dir(curvedq)
     for name in names:
         obj = getattr(curvedq, name)
@@ -77,3 +79,28 @@ def test_cli_keeps_the_thread_variables_the_user_set(preset):
 def test_cli_leaves_the_environment_of_a_process_with_numpy_loaded():
     code = "import json, os, numpy; before = dict(os.environ); import curvedq.cli; print(json.dumps(dict(os.environ) == before))"
     assert _fresh(code) is True
+
+
+def test_what_only_the_tests_reach_is_not_public():
+    from curvedq import operators, parse_shape, shapes, torus, torus_metric_patch
+
+    patch = torus_metric_patch(3.0, 1.0)
+    f = parse_shape("sin(rho)")
+    with pytest.raises(TypeError):  # one fixed rule: no n_points
+        operators.hermiticity_residual(operators.hermitian_momenta(patch)[0], patch, f, f, n_points=512)
+    assert tuple(field.name for field in dataclasses.fields(torus.SpectrumResult)) == ("entries",)
+    for name in ("jacobi_eigh", "JacobiConvergenceError", "overlap_analytic"):  # references of the tests
+        assert name not in curvedq.__all__, name
+        assert callable(getattr(torus, name)), name
+    assert not hasattr(shapes, "FUNCTION_NAMES")
+
+
+def test_every_function_the_span_tracer_wraps_resolves_in_its_module():
+    # bench/spans.py looks each (module, function) of TARGETS up with a bare getattr, in traced
+    # runs only; loading it imports dataclasses, sys and time alone
+    spec = importlib.util.spec_from_file_location("bench_spans", SRC.parent / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, name in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"curvedq.{module}"), name)), (module, name)

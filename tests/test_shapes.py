@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvedq.jets import FUNCTIONS
 from curvedq.shapes import (
-    FUNCTION_NAMES,
     BinOp,
     Call,
     Const,
@@ -297,7 +297,7 @@ def _shape_trees(depth):
             leaves,
             st.builds(Neg, sub),
             st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
-            st.builds(Call, st.sampled_from(FUNCTION_NAMES), sub),
+            st.builds(Call, st.sampled_from(FUNCTIONS), sub),
         )
     return trees
 
@@ -387,7 +387,7 @@ def test_array_jets_round_each_function_and_power_as_libm_does():
     # numpy's exp, tan, the hyperbolics and x**3 round unlike libm in 0.1-30%
     # of draws; 2000 points make a miss of any one of them improbable
     grid = np.random.default_rng(3).uniform(0.05, 3.0, size=2000).tolist()
-    sources = [f"{name}(1.3*rho-0.4)" for name in FUNCTION_NAMES if name not in ("ln", "sqrt")]
+    sources = [f"{name}(1.3*rho-0.4)" for name in FUNCTIONS if name not in ("ln", "sqrt")]
     sources += ["ln(rho)", "sqrt(rho)", "rho^2", "rho^3", "rho^-2", "rho^1.5", "(rho+1)^-2.5", "2^rho", "rho^rho"]
     for src in sources:
         _assert_array_is_stacked_scalar(parse_shape(src), grid)
