@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -557,7 +558,7 @@ def test_hermiticity_residual_is_its_integrand_from_stacked_scalar_jets():
     patch = graph_metric_patch(parse_shape("0.1+0.2*rho+-0.3*rho^2+0.4*rho^3"), (0.2, 1.8))
     p_rho = hermitian_momenta(patch)[0]
     f, g = parse_shape("(rho-0.2)*(1.8-rho)"), parse_shape("(rho-0.2)*(1.8-rho)*sin(rho)")
-    nodes, gw = np.polynomial.legendre.leggauss(512)
+    nodes, gw = curvedq.operators._gauss_legendre()
     theta = 0.8 * nodes + 1.0
     wq = 0.8 * gw
     frames = [patch.frame(t) for t in theta.tolist()]
@@ -569,6 +570,33 @@ def test_hermiticity_residual_is_its_integrand_from_stacked_scalar_jets():
     gv, gs = np.array([j.value for j in gj]), np.array([j.d1 for j in gj])
     want = abs(np.sum((fv * gs + fs * gv + 2.0 * drift * fv * gv) * measure * wq))
     assert hermiticity_residual(p_rho, patch, f, g) == want
+
+
+def test_gauss_legendre_rule_is_symmetric_exact_and_converged():
+    nodes, weights = curvedq.operators._gauss_legendre()
+    assert nodes.shape == weights.shape == (curvedq.operators.N_NODES,)
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+    assert (np.diff(nodes) > 0).all()
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    oracle_nodes, _ = np.polynomial.legendre.leggauss(512)
+    assert (np.abs(nodes - oracle_nodes) <= 4 * np.spacing(np.abs(oracle_nodes))).all()
+    assert abs(weights.sum() - 2.0) <= 1e-15
+    # exact through degree 2 N - 1: every even monomial below it
+    for k in range(512):
+        assert abs(np.sum(weights * nodes ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-15, k
+    p, dp = curvedq.operators._legendre_and_slope(nodes)
+    assert (np.abs(p / dp) <= np.spacing(np.abs(nodes))).all()
+
+
+def test_gauss_legendre_rule_holds_no_dense_matrix():
+    # one 512 x 512 float64 array alone is 2 MiB
+    tracemalloc.start()
+    try:
+        curvedq.operators._gauss_legendre.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024, peak
 
 
 def test_grid_checks_read_each_field_once_per_grid():

@@ -41,6 +41,20 @@ def test_import_curvedq_loads_no_numpy():
     assert _fresh(code) == []
 
 
+def test_open_patch_hermiticity_loads_no_numpy_polynomial():
+    # the open patch's Gauss-Legendre rule comes from the Legendre recurrence
+    code = (
+        "import json, sys; from curvedq.geometry import graph_metric_patch;"
+        " from curvedq.operators import hermitian_momenta, hermiticity_residual;"
+        " from curvedq.shapes import parse_shape;"
+        " patch = graph_metric_patch(parse_shape('1.5+0.2*sin(rho)'), (0.5, 1.5));"
+        " f = parse_shape('(rho-0.5)*(1.5-rho)');"
+        " r = hermiticity_residual(hermitian_momenta(patch)[0], patch, f, f);"
+        " print(json.dumps([bool(r < 1e-12), 'numpy.polynomial' in sys.modules]))"
+    )
+    assert _fresh(code) == [True, False]
+
+
 def test_every_public_name_resolves_to_its_home_module_object():
     names = [name for name in curvedq.__all__ if name != "__version__"]
     assert len(names) == len(set(names)) == 38
