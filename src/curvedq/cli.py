@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import sys
 from fractions import Fraction
@@ -196,7 +197,7 @@ def _cmd_magic(ns):
 
 
 def _polynomial_source(rng):
-    c0, c1, c2, c3 = (float(c) for c in rng.uniform(-1.0, 1.0, size=4))
+    c0, c1, c2, c3 = (rng.uniform(-1.0, 1.0) for _ in range(4))
     return f"{c0!r}+{c1!r}*rho+{c2!r}*rho^2+{c3!r}*rho^3"
 
 
@@ -210,18 +211,23 @@ _SMOOTH_SOURCES = (
 
 
 def check_cancellation(samples, seed):
-    """Max residual of the curvature-term cancellation over random shapes and points."""
-    rng = np.random.default_rng(seed)
+    """Max residual of the curvature-term cancellation over random shapes and points.
+
+    The draws come from the standard library's random.Random(seed), which
+    numpy loads anyway: importing numpy.random for them would add its bit
+    generators and their imports, about 5 MB, to the peak RSS of `check`.
+    """
+    rng = random.Random(seed)
     worst_limit = 0.0
     worst_full = 0.0
     for i in range(samples):
         src = _SMOOTH_SOURCES[i % len(_SMOOTH_SOURCES)] if i % 4 == 0 else _polynomial_source(rng)
         patch = geometry.graph_metric_patch(parse_shape(src), (0.3, 1.7))
-        w = float(rng.uniform(0.4, 1.6))
+        w = rng.uniform(0.4, 1.6)
         sample = geometry.curvature_sample(patch, w)
         worst_limit = max(worst_limit, operators.cancellation_residual(sample.h, sample.k))
         scale = max(abs(sample.k1), abs(sample.k2), 1.0)
-        q = float(rng.uniform(-0.4, 0.4)) / scale
+        q = rng.uniform(-0.4, 0.4) / scale
         worst_full = max(worst_full, operators.cancellation_residual(sample.h, sample.k, q))
     return worst_limit, worst_full
 
@@ -325,10 +331,10 @@ def _config_settings(sub, path):
     return checked
 
 
-def _add_common(sub, formats, digits=True):
+def _add_common(sub, formats, digits=True, format_help=None):
     """--format (default: the first of `formats`), --digits unless the output
     ignores it, -o and --config."""
-    sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.add_argument("--format", choices=formats, default=formats[0], help=format_help)
     if digits:
         sub.add_argument("--digits", type=int, default=_DEFAULT_DIGITS)
     sub.add_argument("-o", "--output", default=None)
@@ -362,7 +368,12 @@ def build_parser():
     spec.add_argument("--nmax", type=int, default=n_max)
     spec.add_argument("--nquad", type=int, default=None, help=nquad_help)
     spec.add_argument("--states", type=int, default=8)
-    _add_common(spec, ("json", "csv"))
+    _add_common(
+        spec,
+        ("json", "csv"),
+        format_help="csv has columns beta,parity,c0..c{nmax} for both parities: an odd state's c{i} is "
+        "its sin((i+1) theta) coefficient, and its last cell is padding, printed as 0",
+    )
 
     cmp_ = subs.add_parser("compare", help="three lowest states per formulation")
     cmp_.add_argument(

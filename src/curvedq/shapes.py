@@ -38,6 +38,7 @@ so an array of rho gets the error of a loop over it, at the first offending rho.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,36 +81,33 @@ class ShapeDomainError(ShapeError):
 
 
 # -- syntax tree -------------------------------------------------------------
+# NamedTuples, not frozen dataclasses: every process that imports this module
+# builds the six classes, and a NamedTuple takes about a seventh of the time.
+# Each node is a tuple, so Var() is empty and falsy: no code tests a node for truth.
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str  # only "pi"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     pass  # the radial variable rho
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: object
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedq import torus
-from curvedq.cli import UsageError, build_parser, emit, run
+from curvedq.cli import UsageError, build_parser, check_cancellation, emit, run
 from curvedq.shapes import ShapeExpr, format_expr
 from curvedq.torus import TorusProblem
 
@@ -631,6 +631,27 @@ def test_check_subcommand(capsys):
     assert herm["ordering_selfadjointness_defect"]["sandwich"] <= 1e-9
     assert herm["ordering_selfadjointness_defect"]["left"] >= 1e-2
 
+
+def test_check_prints_the_same_bytes_for_one_seed(capsys):
+    argv = ["check", "--samples", "12", "--seed", "5", "--alpha", "0.3"]
+    first = _run(capsys, argv)
+    assert first[0] == 0
+    assert _run(capsys, argv) == first
+    # another interpreter, with another string-hash seed, draws the same shapes and points
+    fresh = subprocess.run(
+        [sys.executable, "-m", "curvedq.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PYTHONHASHSEED": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (fresh.returncode, fresh.stdout) == (0, first[1])
+
+
+def test_check_cancellation_is_rounding_over_many_seeds():
+    for seed in range(60):
+        limit, full = check_cancellation(8, seed)
+        assert limit <= 1e-12 and full <= 1e-10, seed
 
 def test_check_ordering_defects_are_exact(capsys):
     # (c2 a1 a2)' is taken from the frame, so the self-adjoint ordering reads rounding only

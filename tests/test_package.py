@@ -55,6 +55,16 @@ def test_open_patch_hermiticity_loads_no_numpy_polynomial():
     assert _fresh(code) == [True, False]
 
 
+def test_no_subcommand_loads_numpy_random():
+    # check draws its shapes and points from the standard library's random.Random
+    code = (
+        "import json, os, sys; from curvedq.cli import run;"
+        " codes = [run(argv + ['-o', os.devnull]) for argv in (['check', '--samples', '5'], ['magic', '--nu', '2'],"
+        " ['spectrum', '--alpha', '0.5'], ['compare', '--alpha', '1/3'], ['curvature', '--torus', '3', '1'])];"
+        " print(json.dumps([codes, sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules)]))"
+    )
+    assert _fresh(code) == [[0] * 5, []]
+
 def test_every_public_name_resolves_to_its_home_module_object():
     names = [name for name in curvedq.__all__ if name != "__version__"]
     assert len(names) == len(set(names)) == 38

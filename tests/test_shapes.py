@@ -409,3 +409,53 @@ def test_array_jets_fall_back_where_only_the_scalar_rules_raise():
     assert _array_outcome(eval_jet2, fast, grid) == _stacked_outcome(eval_jet2, fast, grid)
     with pytest.raises(ShapeDomainError, match="non-finite"):
         eval_jet3(fast, np.array(grid))
+
+
+def _nodes(node):
+    """node and every node below it."""
+    yield node
+    if isinstance(node, (Neg, Call)):
+        yield from _nodes(node.arg)
+    elif isinstance(node, BinOp):
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+
+
+# few literals and functions, so that equal trees come up among distinct ones
+_SMALL_TREES = st.recursive(
+    st.one_of(st.just(Var()), st.builds(Num, st.sampled_from((1.0, 2.0))), st.just(Const("pi"))),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*^"), sub, sub),
+        st.builds(Call, st.sampled_from(("sin", "exp")), sub),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.lists(_SMALL_TREES, min_size=2, max_size=8))
+def test_parsed_trees_are_equal_exactly_where_their_canonical_text_is(trees):
+    parsed = [parse_shape(format_expr(ShapeExpr(tree))) for tree in trees]
+    for a in parsed:
+        for b in parsed:
+            same_text = str(a) == str(b)
+            assert (a.root == b.root) == (a == b) == same_text
+            if same_text:
+                assert hash(a.root) == hash(b.root) and hash(a) == hash(b)
+
+
+def test_syntax_tree_nodes_are_immutable_and_round_trip_repr_and_pickle():
+    namespace = {cls.__name__: cls for cls in (Num, Const, Var, Neg, BinOp, Call)}
+    nodes = list(_nodes(parse_shape("-sin(pi*rho)^2/(1.5+rho)-cosh(-rho)").root))
+    assert {type(node).__name__ for node in nodes} == set(namespace)
+    for node in nodes:
+        assert eval(repr(node), namespace) == node
+        assert pickle.loads(pickle.dumps(node)) == node
+        for name in type(node).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):  # not even past the class's own __setattr__
+                object.__setattr__(node, name, None)
+        with pytest.raises(AttributeError):
+            node.extra = None
