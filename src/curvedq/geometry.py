@@ -203,6 +203,8 @@ def graph_metric_patch(shape, domain):
     k2 is evaluated by its limit -S_rhorho(0)/Z(0) rather than by an
     epsilon offset.  Raises AxisSingularityError otherwise.
     """
+    if len(domain) != 2:
+        raise ValueError(f"rho domain must be a pair (lo, hi), got {domain!r}")
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"rho domain must be finite, got ({lo}, {hi})")

@@ -3,19 +3,39 @@
 A shape function is given as text over the grammar (whitespace insignificant,
 no implicit multiplication)::
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?        right-associative
-    atom   := NUMBER | 'rho' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC   := sin cos tan exp ln sqrt sinh cosh tanh
+    expr := '-' expr | atom | expr OP expr           OP := + - * / ^
+    atom := NUMBER | 'rho' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
+    FUNC := sin cos tan exp ln sqrt sinh cosh tanh
 
-'^' binds tighter than unary minus, so "-rho^2" is -(rho^2).  Parsed
-expressions are immutable and evaluation is pure, so a ShapeExpr may be
-shared freely across threads.  Derivatives come from dual-number
-propagation (jets), never from finite differences: the principal
-curvatures of a graph divide S_rho and S_rhorho by rho and Z^3, and
-differencing noise would pollute them.
+made unambiguous by one table of levels, _OPERATORS, which the parser and
+the canonical printer both read; an operand of a level below the least its
+place allows is written in parentheses::
+
+    operator   level   least left   least right
+    + -          1         1             2         left-associative
+    * /          2         2             3         left-associative
+    unary -      3                       3
+    ^            4         5             3         right-associative
+    atom         5
+
+So '^' binds tighter than unary minus, "-rho^2" is -(rho^2), and an
+exponent may be negated, "rho^-2".
+
+A source nests at most MAX_DEPTH = 200 levels, counted two ways: at any token
+at most 200 parentheses, calls, unary minuses and operators reading their
+right operand are open, and no path of the syntax tree passes through more
+than 200 operators (a sum has at most 201 terms).  A deeper source is a
+ShapeSyntaxError at the token past the bound.  Parser, compiler, printer and
+kernels recurse once to three times per level, so a shape that parses also
+compiles, prints and evaluates from a caller 100 frames deep within Python's
+default recursion limit of 1000; unbounded, the first to fail there are 298
+nested calls and 448 chained '/' or '^'.
+
+Parsed expressions are immutable and evaluation is pure, so a ShapeExpr may
+be shared freely across threads.  Derivatives come from dual-number
+propagation (jets), never from finite differences: the principal curvatures
+of a graph divide S_rho and S_rhorho by rho and Z^3, and differencing noise
+would pollute them.
 
 Each ShapeExpr compiles once, when it is built, into two kernels: nested
 closures over jet 4-tuples that call the derivative rules of jets.py
@@ -188,9 +208,15 @@ def _tokenize(src):
     return tokens
 
 
-# -- recursive-descent parser -------------------------------------------------
+# -- parser and canonical printer ----------------------------------------------
+
+# the operator table of the module docstring: level, least left, least right
+_OPERATORS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": (4, 5, 3)}
+_NEG, _ATOM = 3, 5
+MAX_DEPTH = 200  # the most levels a source may nest; see the module docstring
 
 _ATOM_EXPECTED = ("a number", "'rho'", "'pi'", "a function name", "'('")
+_TOO_DEEP = (f"at most {MAX_DEPTH} levels of nesting",)
 
 
 class _Parser:
@@ -198,78 +224,66 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected):
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         raise ShapeSyntaxError(offset, expected, None if kind == "end" else str(text))
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.term())
-        return node
+    def operand(self, least, depth):
+        """The longest operand of level `least` or above from here, opened
+        `depth` levels deep, and its height: the operators on its longest path."""
+        if depth > MAX_DEPTH:
+            self.pos -= 1  # refused at the token that opened the level
+            self.fail(_TOO_DEEP)
+        tokens = self.tokens
+        at = self.pos
+        if tokens[at][0] == "-":
+            self.pos += 1
+            arg, height = self.operand(_NEG, depth + 1)
+            node, height, level = Neg(arg), height + 1, _NEG
+        else:
+            (node, height), level = self.atom(depth), _ATOM
+        while height <= MAX_DEPTH:
+            op = tokens[self.pos][0]
+            if op not in _OPERATORS:
+                return node, height
+            own, left, right = _OPERATORS[op]
+            if own < least or level < left:
+                return node, height
+            at = self.pos
+            self.pos += 1
+            arg, arg_height = self.operand(right, depth + 1)
+            node, height, level = BinOp(op, node, arg), max(height, arg_height) + 1, own
+        self.pos = at  # refused at the operator that made the tree too tall
+        self.fail(_TOO_DEEP)
 
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, text, offset = self.peek()
+    def atom(self, depth):
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            self.take()
-            return Num(text)
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            if self.peek()[0] != ")":
-                self.fail(("')'", "an operator"))
-            self.take()
-            return node
+            return Num(text), 0
         if kind == "ident":
-            self.take()
             if text == "rho":
-                return Var()
+                return Var(), 0
             if text == "pi":
-                return Const("pi")
-            if text in FUNCTIONS:
-                if self.peek()[0] != "(":
-                    self.fail(("'(' after function name",))
-                self.take()
-                arg = self.expr()
-                if self.peek()[0] != ")":
-                    self.fail(("')'", "an operator"))
-                self.take()
-                return Call(text, arg)
-            raise UnknownIdentifierError(text, offset)
-        self.fail(_ATOM_EXPECTED)
+                return Const("pi"), 0
+            if text not in FUNCTIONS:
+                raise UnknownIdentifierError(text, offset)
+            if self.tokens[self.pos][0] != "(":
+                self.fail(("'(' after function name",))
+            arg, height = self.atom(depth)
+            return Call(text, arg), height + 1
+        if kind != "(":
+            self.pos -= 1
+            self.fail(_ATOM_EXPECTED)
+        inner = self.operand(1, depth + 1)
+        if self.tokens[self.pos][0] != ")":
+            self.fail(("')'", "an operator"))
+        self.pos += 1
+        return inner
 
     def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
+        node, _ = self.operand(1, 0)
+        if self.tokens[self.pos][0] != "end":
             self.fail(("an operator", "end of input"))
         return node
 
@@ -278,54 +292,30 @@ def parse_shape(src):
     """Parse shape-function source text into an immutable ShapeExpr.
 
     Raises ShapeSyntaxError (with byte offset and expected-token set) on
-    malformed input and UnknownIdentifierError for names outside the
-    grammar.
+    malformed input or on a source nested deeper than MAX_DEPTH, and
+    UnknownIdentifierError for names outside the grammar.
     """
     return ShapeExpr(_Parser(_tokenize(src)).parse())
 
 
-# -- canonical printer --------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node):
-    if isinstance(node, (Num, Const, Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if node.op in "+-":
-        return _LEVEL_ADD
-    if node.op in "*/":
-        return _LEVEL_MUL
-    return _LEVEL_POW
-
-
-def _fmt(node, context):
-    if isinstance(node, Num):
-        out = repr(node.value)
-    elif isinstance(node, Const):
-        out = node.name
-    elif isinstance(node, Var):
-        out = "rho"
-    elif isinstance(node, Call):
-        out = f"{node.func}({_fmt(node.arg, _LEVEL_ADD)})"
-    elif isinstance(node, Neg):
-        out = "-" + _fmt(node.arg, _LEVEL_UNARY)
-    elif node.op in "+-":
-        out = _fmt(node.left, _LEVEL_ADD) + node.op + _fmt(node.right, _LEVEL_MUL)
-    elif node.op in "*/":
-        out = _fmt(node.left, _LEVEL_MUL) + node.op + _fmt(node.right, _LEVEL_UNARY)
-    else:  # '^'
-        out = _fmt(node.left, _LEVEL_ATOM) + "^" + _fmt(node.right, _LEVEL_UNARY)
-    if _level(node) < context:
-        return "(" + out + ")"
-    return out
+def _fmt(node, least):
+    """Canonical text of node, in parentheses where its level is below `least`."""
+    kind = type(node)
+    if kind is BinOp:
+        level, left, right = _OPERATORS[node.op]
+        text = _fmt(node.left, left) + node.op + _fmt(node.right, right)
+    elif kind is Neg:
+        level, text = _NEG, "-" + _fmt(node.arg, _NEG)
+    elif kind is Call:
+        return f"{node.func}({_fmt(node.arg, 1)})"
+    else:
+        return "rho" if kind is Var else node.name if kind is Const else repr(node.value)
+    return f"({text})" if level < least else text
 
 
 def format_expr(expr):
     """Canonical text form; parsing it back reproduces the same tree."""
-    return _fmt(expr.root, _LEVEL_ADD)
+    return _fmt(expr.root, 1)
 
 
 # -- compilation and evaluation -----------------------------------------------
@@ -371,7 +361,7 @@ def _guard(kernel, node):
             raise
         except _DOMAIN_ERRORS as exc:
             reason = overflow if isinstance(exc, OverflowError) else str(exc)
-            raise ShapeDomainError(reason, _fmt(node, _LEVEL_ADD), x[0]) from None
+            raise ShapeDomainError(reason, _fmt(node, 1), x[0]) from None
 
     return guarded
 

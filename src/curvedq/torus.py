@@ -250,17 +250,18 @@ def solve_spectrum(problem):
     `listing_key`, which puts such a pair odd first.
     """
     entries = []
-    patch = torus_metric_patch(1.0 / problem.alpha, 1.0)
+    # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta, on nodes both blocks share
+    theta, width = _basis(PARITIES[0], problem.n_max, problem.n_quad)[:2]
+    fr = torus_metric_patch(1.0 / problem.alpha, 1.0).frame(theta)
+    u = problem.alpha * fr.a1 * fr.a2
+    u_weight, root_weight = width * u, width * np.sqrt(u)
     for parity in PARITIES:
         h, s = assemble(problem, parity)
         scale = 1.0 / np.sqrt(np.diag(s))
         vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
-        # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta
-        theta, width, phi, _ = _basis(parity, problem.n_max, problem.n_quad)
-        fr = patch.frame(theta)
-        u = problem.alpha * fr.a1 * fr.a2
-        s_u = (phi * (width * u)) @ phi.T
-        coeffs = np.linalg.solve(s_u, (phi * (width * np.sqrt(u))) @ phi.T @ (scale[:, None] * vecs))
+        phi = _basis(parity, problem.n_max, problem.n_quad)[2]
+        s_u = (phi * u_weight) @ phi.T
+        coeffs = np.linalg.solve(s_u, (phi * root_weight) @ phi.T @ (scale[:, None] * vecs))
         gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)
         coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
         for beta, c in zip(vals, coeffs.T):

@@ -107,16 +107,6 @@ def surface_measure(patch, w):
     return fr.a1 * fr.a2
 
 
-def trapezoid_fourier(values, theta, n):
-    """Periodic-trapezoid Fourier cosine/sine coefficient of sampled values."""
-    width = 2.0 * np.pi / len(theta)
-    if n == 0:
-        return float(np.sum(values) * width / (2.0 * np.pi))
-    return float(np.sum(values * np.cos(n * theta)) * width / np.pi), float(
-        np.sum(values * np.sin(n * theta)) * width / np.pi
-    )
-
-
 def reduced_torus_operator(alpha, nu, formulation):
     """Hand-reduced potential W(theta) and weight u(theta) of the torus problem.
 

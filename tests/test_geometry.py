@@ -87,6 +87,13 @@ def test_graph_patch_refuses_empty_and_negative_domains():
         graph_metric_patch(shape, (-1.0, 1.0))
 
 
+def test_graph_patch_refuses_a_domain_that_is_not_a_pair():
+    shape = parse_shape("rho^2")
+    for domain in ((0.1, 1.0, 2.0), (0.5,), ()):
+        with pytest.raises(ValueError, match=r"rho domain must be a pair \(lo, hi\)"):
+            graph_metric_patch(shape, domain)
+
+
 def test_torus_patch_values():
     patch = torus_metric_patch(3.0, 1.0)
     assert patch.boundary == "periodic"

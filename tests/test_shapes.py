@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from curvedq.jets import FUNCTIONS
 from curvedq.shapes import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
     Neg,
     Num,
     ShapeDomainError,
+    ShapeError,
     ShapeExpr,
     ShapeSyntaxError,
     UnknownIdentifierError,
@@ -459,3 +462,87 @@ def test_syntax_tree_nodes_are_immutable_and_round_trip_repr_and_pickle():
                 object.__setattr__(node, name, None)
         with pytest.raises(AttributeError):
             node.extra = None
+
+
+# -- the nesting bound ---------------------------------------------------------
+
+_TOO_DEEP = ("at most 200 levels of nesting",)
+
+
+def test_sources_nested_past_the_bound_are_refused_at_the_token_past_it():
+    assert MAX_DEPTH == 200
+    for src, offset, found in (
+        ("(" * 201 + "rho" + ")" * 201, 200, "("),  # the 201st '(' opens level 201
+        ("-" * 201 + "rho", 200, "-"),
+        ("sqrt(" * 201 + "rho" + ")" * 201, 1004, "("),
+        ("rho" + "^rho" * 201, 803, "^"),  # each '^' opens a level for its right operand
+        ("+".join(["rho"] * 202), 803, "+"),  # the 201st '+' puts 201 operators on a path
+        ("/".join(["rho"] * 202), 803, "/"),
+        ("-(" + "+".join(["rho"] * 201) + ")", 0, "-"),
+        ("sin(" + "*".join(["rho"] * 201) + ")", 0, "sin"),
+    ):
+        with pytest.raises(ShapeSyntaxError) as info:
+            parse_shape(src)
+        assert (info.value.offset, info.value.expected, info.value.found) == (offset, _TOO_DEEP, found), src[:12]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _from_depth(frames, call):
+    """call() made with `frames` frames on the stack, or as many as there already are."""
+    return call() if _stack_depth() >= frames else _from_depth(frames, call)
+
+
+def test_sources_at_the_bound_compile_print_and_evaluate_from_a_deep_caller():
+    assert _stack_depth() < 100
+    for src in (
+        "(" * 200 + "rho" + ")" * 200,
+        "-" * 200 + "rho",
+        "sqrt(" * 200 + "rho" + ")" * 200,  # three parser frames and two kernel frames a level
+        "rho" + "^rho" * 200,
+        "/".join(["rho"] * 201),
+        "+".join(["rho"] * 201),
+        "-(" + "+".join(["rho"] * 200) + ")",
+    ):
+        def whole():
+            expr = parse_shape(src)
+            assert parse_shape(format_expr(expr)) == expr
+            return eval_jet3(expr, 0.7), eval_jet3(expr, np.array([0.7, 0.9]))
+
+        scalar, grid = _from_depth(100, whole)
+        assert all(math.isfinite(c) for c in scalar) and grid[0][0] == scalar[0], src[:12]
+    # a failure at the deepest node is reported from there, with the float and on a grid
+    failing = parse_shape("sqrt(" * 199 + "rho-1" + ")" * 199)
+    for rho in (0.5, np.array([2.0, 0.5])):
+        with pytest.raises(ShapeDomainError) as info:
+            _from_depth(100, lambda: eval_jet3(failing, rho))
+        assert (info.value.subexpr, info.value.rho) == ("sqrt(rho-1.0)", 0.5)
+
+
+_SOURCE_PIECES = (
+    "rho", "pi", *FUNCTIONS, "(", ")", "+", "-", "*", "/", "^", " ",
+    "1", "2.5", ".5", "1e3", "2.5e-1", "1e400", "1.2.3", "e", ".", "x", "_", "$", "rhox",
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(src=st.one_of(
+    st.text(alphabet="rhopisncotaexlq()+-*/^ .0123456789eE_$\t"),
+    st.lists(st.sampled_from(_SOURCE_PIECES)).map("".join),
+))
+@example(src="(" * 300 + "rho" + ")" * 300)
+@example(src="sqrt(" * 300 + "rho" + ")" * 300)
+@example(src="-" * 1000 + "rho")
+@example(src="+".join(["rho"] * 1000))
+@example(src="/".join(["rho"] * 1000))
+def test_any_source_parses_to_a_round_trip_or_raises_a_shape_error(src):
+    try:
+        expr = parse_shape(src)
+    except ShapeError:
+        return
+    assert parse_shape(format_expr(expr)) == expr
