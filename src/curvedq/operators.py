@@ -51,6 +51,7 @@ It is symmetric under W dw only where b' = 0.  On the torus a1 is
 constant, so there the two orderings coincide.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -239,11 +240,39 @@ def surface_operator(patch, formulation, nu=0, ordering="sandwich"):
     return OperatorCoeffs(*map(patch.lift, (c2, c1, c0, v0)))
 
 
-def _legendre_and_slope(x):
-    """P_N and P_N' at the points x in (-1, 1), N = N_NODES, by the three-term recurrence."""
+def galerkin(op, basis):
+    """Symmetrized H_mn = int (-2 c2 phi_m' phi_n' + 2 v0 phi_m phi_n) dw and S_mn = int phi_m phi_n dw,
+    op's half-density weak form (beta = 2 E) on basis = (w, weights, phi, dphi): quadrature nodes and
+    weights (an array or one float), and the values and slopes there of basis functions, one a row,
+    that meet the patch's boundary conditions."""
+    w, weights, phi, dphi = basis
+    h = (dphi * (-2.0 * weights * op.c2(w))) @ dphi.T + (phi * (2.0 * weights * op.v0(w))) @ phi.T
+    s = (phi * weights) @ phi.T
+    return 0.5 * (h + h.T), 0.5 * (s + s.T)
+
+
+def dirichlet_basis(domain, n):
+    """Shen's L_k - L_(k+2), k < n, zero at both ends of the interval domain, as galerkin's basis on
+    the N_NODES Gauss-Legendre rule mapped there; slopes from (L_k - L_(k+2))' = -(2 k + 3) L_(k+1)
+    (Shen, SIAM J. Sci. Comput. 15, 1489 (1994))."""
+    lo, hi = domain
+    legendre = np.array(list(_legendre(_gauss_legendre()[0], n + 1)))
+    slope = -2.0 / (hi - lo) * (2 * np.arange(n) + 3)
+    return *_mapped_rule(domain), legendre[:n] - legendre[2:], slope[:, None] * legendre[1:-1]
+
+
+def _legendre(x, n):
+    """P_0, ..., P_n at the points x in turn, n >= 1, by the three-term recurrence."""
     p0, p1 = np.ones_like(x), x
-    for j in range(1, N_NODES):
+    yield from (p0, p1)
+    for j in range(1, n):
         p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        yield p1
+
+
+def _legendre_and_slope(x):
+    """P_N and P_N' at the points x in (-1, 1), N = N_NODES."""
+    p0, p1 = collections.deque(_legendre(x, N_NODES), maxlen=2)
     return p1, N_NODES * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
 
 
@@ -277,6 +306,13 @@ def _gauss_legendre():
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _mapped_rule(domain):
+    """The N_NODES Gauss-Legendre nodes and weights mapped to the interval domain."""
+    lo, hi = domain
+    nodes, weights = _gauss_legendre()
+    return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
 
 
 def _values_and_slopes(fn, ws):
@@ -314,9 +350,7 @@ def hermiticity_residual(op, patch, f, g):
                     raise BoundaryCompatibilityError(
                         f"{name}({end}) = {val:.3g}; test functions must vanish at open boundaries"
                     )
-        nodes, gw = _gauss_legendre()
-        theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wq = 0.5 * (hi - lo) * gw
+        theta, wq = _mapped_rule(patch.domain)
     fr = None if azimuthal else patch.frame(theta)
     measure = 1.0 if azimuthal else fr.a1 * fr.a2
     drift = op.of_frame(fr) if op.patch is patch and not azimuthal else op.drift(theta)

@@ -7,21 +7,17 @@ other surface.  With azimuthal wave number nu and the dimensionless
 eigenvalue beta = 2 E a^2 = 2 E, every coefficient is even in theta, so
 the problem decouples into an even (cosine) and an odd (sine) parity block.
 
-The blocks are assembled for the half-density function v = u^(1/2) psi,
-u = alpha a1 a2 = 1 + alpha cos(theta), on the flat measure dtheta (the
-Liouville normal form; Birkhoff & Rota, Ordinary Differential Equations):
-
-    H_mn = int (-2 c2 phi_m' phi_n' + 2 v0 phi_m phi_n) dtheta,
-    S_mn = int  phi_m phi_n dtheta = diag(2 pi, pi, pi, ...),
-
-where 2 v0 is nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the laplacian and the
-centrifugal term nu^2 alpha^2/u^2 alone for the hermitian route (sandwich
-ordering, the default, equal to `left` on the torus).  The hermitian
-nu = 0 block is therefore -v'' = beta v, the free-ring ladder n^2 at every
-alpha.  The periodic trapezoid rule is spectrally accurate here, and since
-the Fourier basis is orthogonal under dtheta each block is one symmetric
-eigenproblem, diagonalized by LAPACK through numpy's `eigh`; numpy is the
-only runtime dependency.
+The blocks are `operators.galerkin`'s weak form of the half-density function
+v = u^(1/2) psi, u = alpha a1 a2 = 1 + alpha cos(theta), on the flat measure
+dtheta (the Liouville normal form; Birkhoff & Rota, Ordinary Differential
+Equations), so S = diag(2 pi, pi, pi, ...).  In its H, 2 v0 is
+nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the laplacian and the centrifugal term
+nu^2 alpha^2/u^2 alone for the hermitian route (sandwich ordering, the
+default, equal to `left` on the torus).  The hermitian nu = 0 block is
+therefore -v'' = beta v, the free-ring ladder n^2 at every alpha.  The
+periodic trapezoid rule is spectrally accurate here, and since the Fourier
+basis is orthogonal under dtheta each block is one symmetric eigenproblem,
+diagonalized by LAPACK through numpy's `eigh`.
 
 States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
 {sin n theta} basis: a projection on the patch measure u, read off the
@@ -43,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, check_formulation, integer, surface_operator
+from .operators import FORMULATIONS, check_formulation, galerkin, integer, surface_operator
 
 PARITIES = ("even", "odd")
 N_QUAD_FLOOR = 128
@@ -134,9 +130,8 @@ def fourier_block(parity, n_max, theta):
 
 @functools.lru_cache(maxsize=8)
 def _basis(parity, n_max, n_quad):
-    """Periodic trapezoid nodes on [0, 2 pi), their common weight, and the
-    parity block's basis values and derivatives there; built once per size,
-    read-only."""
+    """galerkin's basis of a parity block: periodic trapezoid nodes on [0, 2 pi), their common weight,
+    and the basis values and derivatives there; built once per size, read-only."""
     width = 2.0 * math.pi / n_quad
     theta = np.arange(n_quad) * width
     phi, dphi = fourier_block(parity, n_max, theta)
@@ -146,14 +141,10 @@ def _basis(parity, n_max, n_quad):
 
 
 def assemble(problem, parity):
-    """(H, S) for one parity block in half-density form: the flat-measure
-    weak form of the module docstring by the periodic trapezoid rule, so S
-    is diag(2 pi, pi, ...) up to rounding."""
+    """(H, S) for one parity block: operators.galerkin on the periodic trapezoid rule, so S is
+    diag(2 pi, pi, ...) up to rounding."""
     op = surface_operator(torus_metric_patch(1.0 / problem.alpha, 1.0), problem.formulation, problem.nu)
-    theta, width, phi, dphi = _basis(parity, problem.n_max, problem.n_quad)
-    h = (dphi * (-2.0 * width * op.c2(theta))) @ dphi.T + (phi * (2.0 * width * op.v0(theta))) @ phi.T
-    s = (phi * width) @ phi.T
-    return 0.5 * (h + h.T), 0.5 * (s + s.T)
+    return galerkin(op, _basis(parity, problem.n_max, problem.n_quad))
 
 
 def overlap_analytic(alpha, parity, n_max):

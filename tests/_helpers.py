@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from curvedq.jets import FUNCTIONS
-from curvedq.operators import surface_operator
+from curvedq.operators import dirichlet_basis, galerkin, surface_operator
 from curvedq.shapes import (
     BinOp,
     Call,
@@ -294,27 +294,23 @@ def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_ga
     return _shell_betas(patch, nu, route, d, w, width, cos, d_cos, n_sines, n_gauss)
 
 
-def shell_open_betas(patch, nu, d, n_sines_w=24, n_gauss_w=128, n_sines=8, n_gauss=40):
+def shell_open_betas(patch, nu, d, n_w=24, n_sines=8, n_gauss=40):
     """The betas of the paper's H_eta in the shell of thickness d around an open
     patch, Dirichlet at its ends, in ascending order, less (pi/d)^2.
 
-    u is expanded in n_sines_w Dirichlet sines in w on n_gauss_w Gauss-Legendre
-    nodes, times n_sines sines in q on n_gauss nodes.  H_eta needs no derivative
-    of G; -Delta would need d ln G / dw, so k1', which a Frame does not carry.
+    u is expanded in the n_w Legendre-Dirichlet functions of
+    operators.dirichlet_basis in w, on its Gauss-Legendre rule, times n_sines
+    sines in q on n_gauss nodes.  H_eta needs no derivative of G; -Delta would
+    need d ln G / dw, so k1', which a Frame does not carry.
     """
-    w, w_weight, sin, d_sin = dirichlet_sines(patch.domain, n_sines_w, n_gauss_w)
-    return _shell_betas(patch, nu, "hermitian", d, w, w_weight, sin, d_sin, n_sines, n_gauss)
+    return _shell_betas(patch, nu, "hermitian", d, *dirichlet_basis(patch.domain, n_w), n_sines, n_gauss)
 
 
-def dirichlet_surface_betas(patch, formulation, nu, n_sines=24, n_gauss=128):
+def open_surface_betas(patch, formulation, nu, n=24):
     """The betas of surface_operator(patch, formulation, nu) on an open patch,
-    Dirichlet at its ends, in ascending order: the half-density weak form of its
-    c2 and v0 on the flat measure dw, as torus.assemble builds it, in the
-    Dirichlet sines of shell_open_betas."""
-    w, weight, phi, dphi = dirichlet_sines(patch.domain, n_sines, n_gauss)
-    op = surface_operator(patch, formulation, nu)
-    h = (dphi * (-2.0 * weight * op.c2(w))) @ dphi.T + (phi * (2.0 * weight * op.v0(w))) @ phi.T
-    return _symmetric_eigvalsh(h, (phi * weight) @ phi.T)
+    Dirichlet at its ends, in ascending order: the library's galerkin in the n
+    functions of dirichlet_basis, solved by _symmetric_eigvalsh."""
+    return _symmetric_eigvalsh(*galerkin(surface_operator(patch, formulation, nu), dirichlet_basis(patch.domain, n)))
 
 
 # -- tree-walk oracle of the compiled shape kernels ---------------------------

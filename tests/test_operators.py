@@ -15,6 +15,8 @@ from curvedq.operators import (
     BoundaryCompatibilityError,
     MomentumOp,
     cancellation_residual,
+    dirichlet_basis,
+    galerkin,
     hermitian_momenta,
     hermiticity_residual,
     normal_momentum_sq_coeffs,
@@ -25,7 +27,7 @@ from curvedq.cli import selfadjointness_defect
 from curvedq.shapes import ShapeDomainError, eval_jet2, eval_jet3, parse_shape
 
 from _helpers import (
-    dirichlet_surface_betas,
+    open_surface_betas,
     per_node_hermiticity_residual,
     poly_derivative,
     poly_eval,
@@ -398,15 +400,87 @@ def test_sandwich_is_self_adjoint_on_graphs_left_is_not():
 def test_thin_shell_limit_on_an_open_graph_patch_is_the_hermitian_route(source, domain):
     # H_eta in a shell of thickness d with Dirichlet ends and walls, less (pi/d)^2, tends to
     # the Hermitian route as d^2: Richardson in d^2 from d = 0.05 and 0.025 lands within 1e-7
-    # at the ground state and 3e-6 over the lowest three; the Laplacian route lies 0.25 or more away
+    # at the ground state and 3e-6 over the lowest three; the Laplacian route lies 0.25 or more away.
+    # Shell and surface expand w in the same 24 Legendre-Dirichlet functions, where the surface
+    # betas are converged (test_open_patch_betas_converge_in_shens_basis)
     patch = graph_metric_patch(parse_shape(source), domain)
     for nu in (0, 1):
         coarse, fine = (shell_open_betas(patch, nu, d)[:3] for d in (0.05, 0.025))
         limit = (4.0 * fine - coarse) / 3.0
-        hermitian, laplacian = (dirichlet_surface_betas(patch, route, nu)[:3] for route in ("hermitian", "laplacian"))
+        hermitian, laplacian = (open_surface_betas(patch, route, nu)[:3] for route in ("hermitian", "laplacian"))
         assert abs(limit[0] - hermitian[0]) <= 1e-7, (nu, limit, hermitian)
         assert np.all(np.abs(limit - hermitian) <= 3e-6), (nu, limit, hermitian)
         assert abs(limit[0] - laplacian[0]) >= 0.25, (nu, limit, laplacian)
+
+
+def test_dirichlet_basis_is_shens_legendre_basis():
+    # L_k - L_(k+2) and its slope -(2 k + 3) L_(k+1) on the 512-node rule mapped to the domain,
+    # against numpy.polynomial; the slope identity holds exactly on the Legendre coefficients
+    n, (lo, hi) = 60, (0.3, 1.7)
+    w, weights, phi, dphi = dirichlet_basis((lo, hi), n)
+    nodes, gw = curvedq.operators._gauss_legendre()
+    assert phi.shape == dphi.shape == (n, curvedq.operators.N_NODES)
+    assert np.array_equal(w, 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+    assert np.array_equal(weights, 0.5 * (hi - lo) * gw)
+    for k in range(n):
+        c = np.zeros(k + 3)
+        c[k], c[k + 2] = 1.0, -1.0
+        slope = np.zeros(k + 2)
+        slope[k + 1] = -(2 * k + 3)
+        assert np.array_equal(np.polynomial.legendre.legder(c), slope), k
+        value = np.polynomial.legendre.legval(nodes, c)
+        d_value = np.polynomial.legendre.legval(nodes, slope) / (0.5 * (hi - lo))
+        assert np.abs(phi[k] - value).max() <= 1e-13 * np.abs(value).max(), k
+        assert np.abs(dphi[k] - d_value).max() <= 1e-13 * np.abs(d_value).max(), k
+    # every basis function vanishes at both ends, exactly: P_j(+-1) = (+-1)^j by the recurrence
+    ends = np.array(list(curvedq.operators._legendre(np.array([-1.0, 1.0]), n + 1)))
+    assert not (ends[:n] - ends[2:]).any()
+
+
+@pytest.mark.parametrize("route", FORMULATIONS)
+def test_flat_annulus_betas_are_bessel_roots(route):
+    # S = 1.5 on rho in [1, 2] is a flat annulus: beta = k^2 at the roots of the Dirichlet cross
+    # product of order mu = nu (laplacian) or sqrt(nu^2 + 1/4) (hermitian, where nu = 0 is (n pi)^2)
+    from scipy.optimize import brentq
+    from scipy.special import jv, yv
+
+    patch = graph_metric_patch(parse_shape("1.5"), (1.0, 2.0))
+    for nu in (0, 1, 2):
+        mu = nu if route == "laplacian" else math.sqrt(nu * nu + 0.25)
+
+        def cross(k):
+            return jv(mu, k) * yv(mu, 2.0 * k) - jv(mu, 2.0 * k) * yv(mu, k)
+
+        ks = np.linspace(0.5, 12.0, 1151)
+        signs = np.sign(cross(ks))
+        roots = [brentq(cross, ks[i], ks[i + 1], xtol=1e-15) for i in np.flatnonzero(signs[:-1] != signs[1:])[:3]]
+        betas = open_surface_betas(patch, route, nu)[:3]
+        assert np.abs(betas - np.square(roots)).max() <= 1e-10, (nu, betas, roots)
+        if route == "hermitian" and nu == 0:
+            assert np.abs(betas - (math.pi * np.arange(1, 4)) ** 2).max() <= 1e-10, betas
+
+
+@pytest.mark.parametrize(
+    "source, domain", [("1.5+0.2*sin(rho)", (0.5, 1.5)), ("0.1+0.2*rho+-0.3*rho^2+0.4*rho^3", (0.3, 1.7))]
+)
+def test_open_patch_betas_converge_in_shens_basis(source, domain):
+    # the three lowest betas of both routes at 24 Legendre-Dirichlet functions are those at 48
+    patch = graph_metric_patch(parse_shape(source), domain)
+    for route in FORMULATIONS:
+        for nu in (0, 1):
+            coarse, fine = (open_surface_betas(patch, route, nu, n)[:3] for n in (24, 48))
+            assert np.abs(coarse - fine).max() <= 1e-9, (route, nu, coarse, fine)
+
+
+def test_galerkin_block_of_an_open_patch_is_symmetric_and_positive():
+    patch = graph_metric_patch(parse_shape("1.5+0.2*sin(rho)"), (0.5, 1.5))
+    h, s = galerkin(surface_operator(patch, "laplacian", 1), dirichlet_basis(patch.domain, 12))
+    assert h.shape == s.shape == (12, 12)
+    assert np.array_equal(h, h.T) and np.array_equal(s, s.T)
+    assert np.linalg.eigvalsh(s).min() > 0.0
+    # Shen's basis couples only functions two degrees apart in S: L_k is orthogonal to L_j, j != k
+    assert np.abs(s[np.abs(np.subtract.outer(range(12), range(12))) % 2 == 1]).max() <= 1e-15
+    assert np.abs(np.triu(s, 3)).max() <= 1e-15
 
 
 def test_hermitian_free_ring_limit():

@@ -42,17 +42,18 @@ def test_import_curvedq_loads_no_numpy():
 
 
 def test_open_patch_hermiticity_loads_no_numpy_polynomial():
-    # the open patch's Gauss-Legendre rule comes from the Legendre recurrence
+    # importing operators builds no rule; the open patch's Gauss-Legendre rule and Shen's basis
+    # come from the Legendre recurrence
     code = (
-        "import json, sys; from curvedq.geometry import graph_metric_patch;"
-        " from curvedq.operators import hermitian_momenta, hermiticity_residual;"
-        " from curvedq.shapes import parse_shape;"
+        "import json, sys; import curvedq.operators as ops; from curvedq.geometry import graph_metric_patch;"
+        " from curvedq.shapes import parse_shape; built = ops._gauss_legendre.cache_info().currsize;"
         " patch = graph_metric_patch(parse_shape('1.5+0.2*sin(rho)'), (0.5, 1.5));"
         " f = parse_shape('(rho-0.5)*(1.5-rho)');"
-        " r = hermiticity_residual(hermitian_momenta(patch)[0], patch, f, f);"
-        " print(json.dumps([bool(r < 1e-12), 'numpy.polynomial' in sys.modules]))"
+        " r = ops.hermiticity_residual(ops.hermitian_momenta(patch)[0], patch, f, f);"
+        " h, s = ops.galerkin(ops.surface_operator(patch, 'hermitian', 1), ops.dirichlet_basis(patch.domain, 24));"
+        " print(json.dumps([built, bool(r < 1e-12), h.shape, 'numpy.polynomial' in sys.modules]))"
     )
-    assert _fresh(code) == [True, False]
+    assert _fresh(code) == [0, True, [24, 24], False]
 
 
 def test_no_subcommand_loads_numpy_random():
