@@ -251,6 +251,22 @@ def galerkin(op, basis):
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
 
 
+@functools.lru_cache(maxsize=8)
+def fourier_basis(parity, n_max, n_quad):
+    """{1, cos m w} (even) or {sin m w} (odd), 1 <= m <= n_max, as galerkin's basis on the n_quad-node
+    periodic trapezoid rule over [0, 2 pi): spectrally accurate for smooth periodic integrands, and the
+    rows are orthogonal on it while n_quad > 2 n_max.  Built once per size; read-only."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    m = np.arange(0 if parity == "even" else 1, n_max + 1)
+    w, width = _periodic_rule((0.0, 2.0 * math.pi), n_quad)
+    cos, sin = np.cos(np.outer(m, w)), np.sin(np.outer(m, w))
+    phi, dphi = (cos, -m[:, None] * sin) if parity == "even" else (sin, m[:, None] * cos)
+    for array in (w, phi, dphi):
+        array.flags.writeable = False
+    return w, width, phi, dphi
+
+
 def dirichlet_basis(domain, n):
     """Shen's L_k - L_(k+2), k < n, zero at both ends of the interval domain, as galerkin's basis on
     the N_NODES Gauss-Legendre rule mapped there; slopes from (L_k - L_(k+2))' = -(2 k + 3) L_(k+1)
@@ -308,6 +324,13 @@ def _gauss_legendre():
     return nodes, weights
 
 
+def _periodic_rule(domain, n):
+    """The n-node trapezoid rule on one period [lo, hi) of the interval domain: nodes and their common weight."""
+    lo, hi = domain
+    width = (hi - lo) / n
+    return lo + np.arange(n) * width, width
+
+
 def _mapped_rule(domain):
     """The N_NODES Gauss-Legendre nodes and weights mapped to the interval domain."""
     lo, hi = domain
@@ -341,8 +364,7 @@ def hermiticity_residual(op, patch, f, g):
         raise ValueError(f"momentum coordinate {op.label!r} does not match patch {patch.label!r}")
     lo, hi = (0.0, 2.0 * math.pi) if azimuthal else patch.domain
     if azimuthal or patch.boundary == "periodic":
-        theta = np.linspace(lo, hi, N_NODES, endpoint=False)
-        wq = (hi - lo) / N_NODES
+        theta, wq = _periodic_rule((lo, hi), N_NODES)
     else:
         for name, fn in (("f", f), ("g", g)):
             for end, val in zip((lo, hi), _values_and_slopes(fn, (lo, hi))[0]):

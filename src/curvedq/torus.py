@@ -10,19 +10,18 @@ the problem decouples into an even (cosine) and an odd (sine) parity block.
 The blocks are `operators.galerkin`'s weak form of the half-density function
 v = u^(1/2) psi, u = alpha a1 a2 = 1 + alpha cos(theta), on the flat measure
 dtheta (the Liouville normal form; Birkhoff & Rota, Ordinary Differential
-Equations), so S = diag(2 pi, pi, pi, ...).  In its H, 2 v0 is
-nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the laplacian and the centrifugal term
-nu^2 alpha^2/u^2 alone for the hermitian route (sandwich ordering, the
-default, equal to `left` on the torus).  The hermitian nu = 0 block is
-therefore -v'' = beta v, the free-ring ladder n^2 at every alpha.  The
-periodic trapezoid rule is spectrally accurate here, and since the Fourier
-basis is orthogonal under dtheta each block is one symmetric eigenproblem,
-diagonalized by LAPACK through numpy's `eigh`.
+Equations), in `operators.fourier_basis`, so S = diag(2 pi, pi, pi, ...) and
+each block is one symmetric eigenproblem, diagonalized by LAPACK through
+numpy's `eigh`.  In its H, 2 v0 is nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the
+laplacian and the centrifugal term nu^2 alpha^2/u^2 alone for the hermitian
+route (sandwich ordering, the default, equal to `left` on the torus).  The
+hermitian nu = 0 block is therefore -v'' = beta v, the free-ring ladder n^2
+at every alpha.
 
 States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
 {sin n theta} basis: a projection on the patch measure u, read off the
-torus frame and integrated by the trapezoid rule that builds H (the tests
-hold it to the closed form `overlap_analytic`), then Loewdin's symmetric
+torus frame and integrated by the rule that builds H (the tests hold it
+to the closed form `overlap_analytic`), then Loewdin's symmetric
 orthonormalization (Loewdin, J. Chem. Phys. 18, 365 (1950)), so the
 coefficients satisfy int psi_i psi_j u dtheta = delta_ij in the truncated
 basis exactly; the largest-magnitude coefficient of each state is positive.
@@ -32,14 +31,13 @@ Special values of alpha kill the azimuthal part of the potential
 alpha = 1/sqrt(1 + 4 nu^2) for the hermitian one.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, check_formulation, galerkin, integer, surface_operator
+from .operators import FORMULATIONS, check_formulation, fourier_basis, galerkin, integer, surface_operator
 
 PARITIES = ("even", "odd")
 N_QUAD_FLOOR = 128
@@ -113,38 +111,11 @@ class SpectrumResult:
     entries: tuple
 
 
-def fourier_block(parity, n_max, theta):
-    """Basis values and derivatives on a grid: rows are basis functions."""
-    if parity == "even":
-        m = np.arange(0, n_max + 1)
-        phi = np.cos(np.outer(m, theta))
-        dphi = -m[:, None] * np.sin(np.outer(m, theta))
-    elif parity == "odd":
-        m = np.arange(1, n_max + 1)
-        phi = np.sin(np.outer(m, theta))
-        dphi = m[:, None] * np.cos(np.outer(m, theta))
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return phi, dphi
-
-
-@functools.lru_cache(maxsize=8)
-def _basis(parity, n_max, n_quad):
-    """galerkin's basis of a parity block: periodic trapezoid nodes on [0, 2 pi), their common weight,
-    and the basis values and derivatives there; built once per size, read-only."""
-    width = 2.0 * math.pi / n_quad
-    theta = np.arange(n_quad) * width
-    phi, dphi = fourier_block(parity, n_max, theta)
-    for array in (theta, phi, dphi):
-        array.flags.writeable = False
-    return theta, width, phi, dphi
-
-
 def assemble(problem, parity):
-    """(H, S) for one parity block: operators.galerkin on the periodic trapezoid rule, so S is
+    """(H, S) for one parity block: operators.galerkin on operators.fourier_basis, so S is
     diag(2 pi, pi, ...) up to rounding."""
     op = surface_operator(torus_metric_patch(1.0 / problem.alpha, 1.0), problem.formulation, problem.nu)
-    return galerkin(op, _basis(parity, problem.n_max, problem.n_quad))
+    return galerkin(op, fourier_basis(parity, problem.n_max, problem.n_quad))
 
 
 def overlap_analytic(alpha, parity, n_max):
@@ -242,7 +213,7 @@ def solve_spectrum(problem):
     """
     entries = []
     # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta, on nodes both blocks share
-    theta, width = _basis(PARITIES[0], problem.n_max, problem.n_quad)[:2]
+    theta, width = fourier_basis(PARITIES[0], problem.n_max, problem.n_quad)[:2]
     fr = torus_metric_patch(1.0 / problem.alpha, 1.0).frame(theta)
     u = problem.alpha * fr.a1 * fr.a2
     u_weight, root_weight = width * u, width * np.sqrt(u)
@@ -250,7 +221,7 @@ def solve_spectrum(problem):
         h, s = assemble(problem, parity)
         scale = 1.0 / np.sqrt(np.diag(s))
         vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
-        phi = _basis(parity, problem.n_max, problem.n_quad)[2]
+        phi = fourier_basis(parity, problem.n_max, problem.n_quad)[2]
         s_u = (phi * u_weight) @ phi.T
         coeffs = np.linalg.solve(s_u, (phi * root_weight) @ phi.T @ (scale[:, None] * vecs))
         gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from curvedq.jets import FUNCTIONS
-from curvedq.operators import dirichlet_basis, galerkin, surface_operator
+from curvedq.operators import dirichlet_basis, fourier_basis, galerkin, surface_operator
 from curvedq.shapes import (
     BinOp,
     Call,
@@ -19,7 +19,6 @@ from curvedq.shapes import (
     eval_jet2,
     format_expr,
 )
-from curvedq.torus import fourier_block
 
 
 def poly_source(coeffs):
@@ -136,12 +135,10 @@ def reduced_torus_operator(alpha, nu, formulation):
 
 
 def reduced_weak_form(alpha, nu, formulation, parity, n_max, n_quad):
-    """H, S of the hand-reduced torus problem by the periodic trapezoid rule."""
+    """H, S of the hand-reduced torus problem by the periodic trapezoid rule of fourier_basis."""
     w, u = reduced_torus_operator(alpha, nu, formulation)
-    theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
-    wq = 2.0 * math.pi / n_quad
+    theta, wq, phi, dphi = fourier_basis(parity, n_max, n_quad)
     uu = u(theta)
-    phi, dphi = fourier_block(parity, n_max, theta)
     h = (dphi * (uu * wq)) @ dphi.T + (phi * (w(theta) * uu * wq)) @ phi.T
     s = (phi * (uu * wq)) @ phi.T
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
@@ -173,11 +170,9 @@ def half_density_potential(alpha, nu, formulation, c=None):
 
 def half_density_weak_form(alpha, nu, formulation, parity, n_max, n_quad, c=None):
     """H, S of the hand-reduced half-density problem by the periodic trapezoid
-    rule; c is half_density_potential's centrifugal coefficient."""
+    rule of fourier_basis; c is half_density_potential's centrifugal coefficient."""
     q = half_density_potential(alpha, nu, formulation, c)
-    theta = np.arange(n_quad) * (2.0 * math.pi / n_quad)
-    wq = 2.0 * math.pi / n_quad
-    phi, dphi = fourier_block(parity, n_max, theta)
+    theta, wq, phi, dphi = fourier_basis(parity, n_max, n_quad)
     h = (dphi * wq) @ dphi.T + (phi * (q(theta) * wq)) @ phi.T
     s = (phi * wq) @ phi.T
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
@@ -288,10 +283,8 @@ def shell_even_betas(patch, nu, route, d, n_max=24, n_sines=8, n_theta=256, n_ga
     expanded in {cos n w, n <= n_max} times n_sines Dirichlet sines in q, on
     n_theta trapezoid nodes in w and n_gauss Gauss-Legendre nodes in q.
     """
-    w = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    cos, d_cos = fourier_block("even", n_max, w)
-    width = np.full(n_theta, 2.0 * math.pi / n_theta)
-    return _shell_betas(patch, nu, route, d, w, width, cos, d_cos, n_sines, n_gauss)
+    w, width, cos, d_cos = fourier_basis("even", n_max, n_theta)
+    return _shell_betas(patch, nu, route, d, w, np.full(n_theta, width), cos, d_cos, n_sines, n_gauss)
 
 
 def shell_open_betas(patch, nu, d, n_w=24, n_sines=8, n_gauss=40):

@@ -16,6 +16,7 @@ from curvedq.operators import (
     MomentumOp,
     cancellation_residual,
     dirichlet_basis,
+    fourier_basis,
     galerkin,
     hermitian_momenta,
     hermiticity_residual,
@@ -660,6 +661,22 @@ def test_gauss_legendre_rule_is_symmetric_exact_and_converged():
         assert abs(np.sum(weights * nodes ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-15, k
     p, dp = curvedq.operators._legendre_and_slope(nodes)
     assert (np.abs(p / dp) <= np.spacing(np.abs(nodes))).all()
+
+
+def test_fourier_basis_is_built_once_and_read_only():
+    first = fourier_basis("odd", 5, 28)
+    again = fourier_basis("odd", 5, 28)
+    assert all(a is b for a, b in zip(first, again))
+    w, width, phi, dphi = first
+    assert width == 2.0 * math.pi / 28 and phi.shape == dphi.shape == (5, 28)
+    for array in (w, phi, dphi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_fourier_basis_refuses_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
+        fourier_basis("both", 3, 16)
 
 
 def test_gauss_legendre_rule_holds_no_dense_matrix():

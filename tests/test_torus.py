@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 import curvedq.torus
 from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
-from curvedq.operators import FORMULATIONS, ORDERINGS, surface_operator
+from curvedq.operators import FORMULATIONS, ORDERINGS, fourier_basis, galerkin, surface_operator
 from curvedq.torus import (
     PARITIES,
     TorusProblem,
     assemble,
     check_alpha,
-    fourier_block,
     jacobi_eigh,
     listing_key,
     magic_alpha,
@@ -50,11 +49,6 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="n_max must be at least 2"):
         TorusProblem(0.5, 0, "laplacian", n_max=1)
     assert TorusProblem(0.5, -3, "laplacian").nu == 3
-
-
-def test_fourier_block_refuses_an_unknown_parity():
-    with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'both'"):
-        fourier_block("both", 3, np.zeros(4))
 
 
 def test_alpha_whose_major_radius_overflows_is_refused():
@@ -137,18 +131,46 @@ def test_quadrature_overlap_matches_analytic():
     # patch frame as solve_spectrum reads it, is the closed form
     for alpha in (1.0 / 3.0, 0.5, 2.0 / 3.0):
         problem = TorusProblem(alpha, 0, "laplacian")
-        theta = np.arange(problem.n_quad) * 2.0 * math.pi / problem.n_quad
-        u = alpha * surface_measure(torus_metric_patch(1.0 / alpha, 1.0), theta)
         for parity in ("even", "odd"):
+            theta, wq, phi, _ = fourier_basis(parity, problem.n_max, problem.n_quad)
+            u = alpha * surface_measure(torus_metric_patch(1.0 / alpha, 1.0), theta)
             _, s = assemble(problem, parity)
             flat = math.pi * np.eye(len(s))
             if parity == "even":
                 flat[0, 0] = 2.0 * math.pi
             assert np.max(np.abs(s - flat)) <= 1e-13 * 2.0 * math.pi
-            phi, _ = fourier_block(parity, problem.n_max, theta)
-            s_u = (phi * (u * 2.0 * math.pi / problem.n_quad)) @ phi.T
+            s_u = (phi * (u * wq)) @ phi.T
             ref = overlap_analytic(alpha, parity, problem.n_max)
             assert np.max(np.abs(s_u - ref)) <= 1e-13 * 2.0 * math.pi
+
+
+def test_torus_blocks_are_galerkin_on_the_fourier_basis():
+    # the torus builds no weak form and no basis of its own: bit for bit the one path of every patch
+    for alpha in np.random.default_rng(35).uniform(0.05, 0.95, 4).tolist():
+        patch = torus_metric_patch(1.0 / alpha, 1.0)
+        for nu in range(5):
+            for formulation in FORMULATIONS:
+                op = surface_operator(patch, formulation, nu)
+                for n_max in (24, 48, 96):
+                    problem = TorusProblem(alpha, nu, formulation, n_max)
+                    for parity in PARITIES:
+                        want = galerkin(op, fourier_basis(parity, n_max, problem.n_quad))
+                        got = assemble(problem, parity)
+                        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (alpha, nu, n_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 192))
+def test_fourier_rows_are_orthogonal_at_every_accepted_rule(n_max, extra):
+    # solve_spectrum scales each block by diag(S)^(-1/2): S must be diagonal at any n_quad TorusProblem accepts
+    n_quad = TorusProblem(0.5, 0, "hermitian", n_max, 4 * n_max + 8 + extra).n_quad
+    op = surface_operator(torus_metric_patch(2.0, 1.0), "hermitian", 0)
+    for parity in PARITIES:
+        _, s = galerkin(op, fourier_basis(parity, n_max, n_quad))
+        flat = math.pi * np.eye(len(s))
+        if parity == "even":
+            flat[0, 0] = 2.0 * math.pi
+        assert np.max(np.abs(s - flat)) <= 1e-13 * 2.0 * math.pi, (n_max, n_quad, parity)
 
 
 def test_vanishing_potential_zeroes_constant_row():
@@ -219,14 +241,12 @@ def test_solve_spectrum_matches_jacobi_oracle():
     for alpha, nu, form in cases:
         problem = TorusProblem(alpha, nu, form)
         result = solve_spectrum(problem)
-        theta = np.arange(problem.n_quad) * 2.0 * math.pi / problem.n_quad
-        root_u = np.sqrt(1.0 + alpha * np.cos(theta))
         for parity in ("even", "odd"):
             h, s = assemble(problem, parity)
             scale = 1.0 / np.sqrt(np.diag(s))
             vals, vecs = jacobi_eigh(scale[:, None] * h * scale)
-            phi, _ = fourier_block(parity, problem.n_max, theta)
-            project = (phi * (root_u * 2.0 * math.pi / problem.n_quad)) @ phi.T
+            theta, wq, phi, _ = fourier_basis(parity, problem.n_max, problem.n_quad)
+            project = (phi * (np.sqrt(1.0 + alpha * np.cos(theta)) * wq)) @ phi.T
             s_u = overlap_analytic(alpha, parity, problem.n_max)
             coeffs = scipy.linalg.solve(s_u, project @ (scale[:, None] * vecs), assume_a="pos")
             coeffs = coeffs @ scipy.linalg.inv(scipy.linalg.sqrtm(coeffs.T @ s_u @ coeffs).real)
@@ -498,14 +518,8 @@ def test_parity_blocks_match_full_basis_solve(config):
     alpha, nu, form, n_max = config
     n_quad = TorusProblem(*config).n_quad
     q = half_density_potential(alpha, nu, form)
-    theta = np.arange(n_quad) * 2.0 * math.pi / n_quad
-    wq = 2.0 * math.pi / n_quad
-    rows = [np.ones_like(theta)] + [np.cos(m * theta) for m in range(1, n_max + 1)]
-    rows += [np.sin(m * theta) for m in range(1, n_max + 1)]
-    drows = [np.zeros_like(theta)] + [-m * np.sin(m * theta) for m in range(1, n_max + 1)]
-    drows += [m * np.cos(m * theta) for m in range(1, n_max + 1)]
-    phi = np.vstack(rows)
-    dphi = np.vstack(drows)
+    (theta, wq, *even), (_, _, *odd) = (fourier_basis(parity, n_max, n_quad) for parity in PARITIES)
+    phi, dphi = (np.vstack(rows) for rows in zip(even, odd))
     h = (dphi * wq) @ dphi.T + (phi * (q(theta) * wq)) @ phi.T
     s = (phi * wq) @ phi.T
     full = np.sort(scipy.linalg.eigh(0.5 * (h + h.T), 0.5 * (s + s.T), eigvals_only=True))
