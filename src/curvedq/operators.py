@@ -251,6 +251,17 @@ def galerkin(op, basis):
     return 0.5 * (h + h.T), 0.5 * (s + s.T)
 
 
+def solve(h, s):
+    """Ascending betas of H x = beta S x and the half-density coefficient columns x, for a basis orthogonal on
+    its rule: diag(S)^(-1/2) scales S to I, then one symmetric eigh (Golub & Van Loan, Matrix Computations,
+    section 8.7); ValueError where the scaled S is further than 1e-12 from I."""
+    scale = 1.0 / np.sqrt(np.diag(s))
+    if not np.abs(scale[:, None] * s * scale - np.eye(len(scale))).max() <= 1e-12:
+        raise ValueError("the basis is not orthogonal on its rule: diag(S)^(-1/2) S diag(S)^(-1/2) is not I")
+    vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
+    return vals, scale[:, None] * vecs
+
+
 @functools.lru_cache(maxsize=8)
 def fourier_basis(parity, n_max, n_quad):
     """{1, cos m w} (even) or {sin m w} (odd), 1 <= m <= n_max, as galerkin's basis on the n_quad-node
@@ -268,13 +279,17 @@ def fourier_basis(parity, n_max, n_quad):
 
 
 def dirichlet_basis(domain, n):
-    """Shen's L_k - L_(k+2), k < n, zero at both ends of the interval domain, as galerkin's basis on
-    the N_NODES Gauss-Legendre rule mapped there; slopes from (L_k - L_(k+2))' = -(2 k + 3) L_(k+1)
+    """Shen's L_k - L_(k+2), k < n, zero at both ends of the interval domain, as galerkin's basis orthonormal
+    on the N_NODES Gauss-Legendre rule mapped there: values and slopes, (L_k - L_(k+2))' = -(2 k + 3) L_(k+1),
+    go through the inverse Cholesky factor of their Gram matrix, so row k is a combination of Shen's rows 0..k
     (Shen, SIAM J. Sci. Comput. 15, 1489 (1994))."""
     lo, hi = domain
+    w, weights = _mapped_rule(domain)
     legendre = np.array(list(_legendre(_gauss_legendre()[0], n + 1)))
+    shen = legendre[:n] - legendre[2:]
     slope = -2.0 / (hi - lo) * (2 * np.arange(n) + 3)
-    return *_mapped_rule(domain), legendre[:n] - legendre[2:], slope[:, None] * legendre[1:-1]
+    lower = np.linalg.cholesky((shen * weights) @ shen.T)
+    return w, weights, np.linalg.solve(lower, shen), np.linalg.solve(lower, slope[:, None] * legendre[1:-1])
 
 
 def _legendre(x, n):

@@ -11,12 +11,11 @@ The blocks are `operators.galerkin`'s weak form of the half-density function
 v = u^(1/2) psi, u = alpha a1 a2 = 1 + alpha cos(theta), on the flat measure
 dtheta (the Liouville normal form; Birkhoff & Rota, Ordinary Differential
 Equations), in `operators.fourier_basis`, so S = diag(2 pi, pi, pi, ...) and
-each block is one symmetric eigenproblem, diagonalized by LAPACK through
-numpy's `eigh`.  In its H, 2 v0 is nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the
-laplacian and the centrifugal term nu^2 alpha^2/u^2 alone for the hermitian
-route (sandwich ordering, the default, equal to `left` on the torus).  The
-hermitian nu = 0 block is therefore -v'' = beta v, the free-ring ladder n^2
-at every alpha.
+`operators.solve` diagonalizes each block by one symmetric `eigh`.  In its
+H, 2 v0 is nu^2 alpha^2/u^2 + 2 (V_C + V_L) for the laplacian and the
+centrifugal term nu^2 alpha^2/u^2 alone for the hermitian route (sandwich
+ordering, the default, equal to `left` on the torus).  The hermitian nu = 0
+block is therefore -v'' = beta v, the free-ring ladder n^2 at every alpha.
 
 States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
 {sin n theta} basis: a projection on the patch measure u, read off the
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, check_formulation, fourier_basis, galerkin, integer, surface_operator
+from .operators import FORMULATIONS, check_formulation, fourier_basis, galerkin, integer, solve, surface_operator
 
 PARITIES = ("even", "odd")
 N_QUAD_FLOOR = 128
@@ -203,13 +202,13 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):
 def solve_spectrum(problem):
     """Full spectrum of the problem, both parity blocks merged.
 
-    Each half-density block is scaled by diag(S)^(-1/2) and diagonalized
-    by LAPACK `eigh`; the states are mapped back to psi coefficients,
-    orthonormalized under int |psi|^2 u dtheta and signed as in the module
-    docstring.  Entries are sorted by exactly ascending beta; the two
-    states of an exactly degenerate pair (the hermitian nu = 0 ladder) come
-    in rounding order.  The CLI and `table_states` list states by
-    `listing_key`, which puts such a pair odd first.
+    Each half-density block is solved by `operators.solve`; the states are
+    mapped back to psi coefficients, orthonormalized under
+    int |psi|^2 u dtheta and signed as in the module docstring.  Entries
+    are sorted by exactly ascending beta; the two states of an exactly
+    degenerate pair (the hermitian nu = 0 ladder) come in rounding order.
+    The CLI and `table_states` list states by `listing_key`, which puts
+    such a pair odd first.
     """
     entries = []
     # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta, on nodes both blocks share
@@ -218,12 +217,10 @@ def solve_spectrum(problem):
     u = problem.alpha * fr.a1 * fr.a2
     u_weight, root_weight = width * u, width * np.sqrt(u)
     for parity in PARITIES:
-        h, s = assemble(problem, parity)
-        scale = 1.0 / np.sqrt(np.diag(s))
-        vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
+        vals, vecs = solve(*assemble(problem, parity))
         phi = fourier_basis(parity, problem.n_max, problem.n_quad)[2]
         s_u = (phi * u_weight) @ phi.T
-        coeffs = np.linalg.solve(s_u, (phi * root_weight) @ phi.T @ (scale[:, None] * vecs))
+        coeffs = np.linalg.solve(s_u, (phi * root_weight) @ phi.T @ vecs)
         gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)
         coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
         for beta, c in zip(vals, coeffs.T):

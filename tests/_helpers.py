@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from curvedq.jets import FUNCTIONS
-from curvedq.operators import dirichlet_basis, fourier_basis, galerkin, surface_operator
+from curvedq.operators import dirichlet_basis, fourier_basis, galerkin, solve, surface_operator
 from curvedq.shapes import (
     BinOp,
     Call,
@@ -242,7 +242,8 @@ def dirichlet_sines(domain, n_sines, n_gauss):
 
 
 def _symmetric_eigvalsh(h, s):
-    """Eigenvalues of h x = beta s x, ascending, s whitened by its Cholesky factor."""
+    """Eigenvalues of h x = beta s x, ascending, s whitened by its Cholesky factor: the shell's s carries
+    the shell measure F, so its rows are not orthogonal and operators.solve refuses it."""
     lower = np.linalg.cholesky(s)
     whitened = np.linalg.solve(lower, np.linalg.solve(lower, h).T)
     return np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
@@ -302,8 +303,8 @@ def shell_open_betas(patch, nu, d, n_w=24, n_sines=8, n_gauss=40):
 def open_surface_betas(patch, formulation, nu, n=24):
     """The betas of surface_operator(patch, formulation, nu) on an open patch,
     Dirichlet at its ends, in ascending order: the library's galerkin in the n
-    functions of dirichlet_basis, solved by _symmetric_eigvalsh."""
-    return _symmetric_eigvalsh(*galerkin(surface_operator(patch, formulation, nu), dirichlet_basis(patch.domain, n)))
+    functions of dirichlet_basis, solved by operators.solve."""
+    return solve(*galerkin(surface_operator(patch, formulation, nu), dirichlet_basis(patch.domain, n)))[0]
 
 
 # -- tree-walk oracle of the compiled shape kernels ---------------------------

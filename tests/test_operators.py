@@ -22,6 +22,7 @@ from curvedq.operators import (
     hermiticity_residual,
     normal_momentum_sq_coeffs,
     rescaling_potential,
+    solve,
     surface_operator,
 )
 from curvedq.cli import selfadjointness_defect
@@ -415,27 +416,57 @@ def test_thin_shell_limit_on_an_open_graph_patch_is_the_hermitian_route(source, 
 
 
 def test_dirichlet_basis_is_shens_legendre_basis():
-    # L_k - L_(k+2) and its slope -(2 k + 3) L_(k+1) on the 512-node rule mapped to the domain,
-    # against numpy.polynomial; the slope identity holds exactly on the Legendre coefficients
+    # Shen's rows L_k - L_(k+2) and their slopes -(2 k + 3) L_(k+1), against numpy.polynomial, orthonormalized on
+    # the 512-node rule mapped to the domain: T = (shen * weights) @ phi.T is lower triangular, so row k of phi is a
+    # combination of Shen's rows 0..k, and T maps the rows back to Shen's values and slopes
     n, (lo, hi) = 60, (0.3, 1.7)
     w, weights, phi, dphi = dirichlet_basis((lo, hi), n)
     nodes, gw = curvedq.operators._gauss_legendre()
     assert phi.shape == dphi.shape == (n, curvedq.operators.N_NODES)
     assert np.array_equal(w, 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
     assert np.array_equal(weights, 0.5 * (hi - lo) * gw)
+    shen, d_shen = np.empty_like(phi), np.empty_like(dphi)
     for k in range(n):
         c = np.zeros(k + 3)
         c[k], c[k + 2] = 1.0, -1.0
         slope = np.zeros(k + 2)
         slope[k + 1] = -(2 * k + 3)
         assert np.array_equal(np.polynomial.legendre.legder(c), slope), k
-        value = np.polynomial.legendre.legval(nodes, c)
-        d_value = np.polynomial.legendre.legval(nodes, slope) / (0.5 * (hi - lo))
-        assert np.abs(phi[k] - value).max() <= 1e-13 * np.abs(value).max(), k
-        assert np.abs(dphi[k] - d_value).max() <= 1e-13 * np.abs(d_value).max(), k
-    # every basis function vanishes at both ends, exactly: P_j(+-1) = (+-1)^j by the recurrence
+        shen[k] = np.polynomial.legendre.legval(nodes, c)
+        d_shen[k] = np.polynomial.legendre.legval(nodes, slope) / (0.5 * (hi - lo))
+    t = (shen * weights) @ phi.T
+    assert np.abs(np.triu(t, 1)).max() <= 1e-13 * np.abs(t).max()
+    t = np.tril(t)  # its rounding above the diagonal would meet the steep slopes of the high rows
+    for got, want in ((t @ phi, shen), (t @ dphi, d_shen)):
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+    for size in (2, 24, 48, 60, 400):
+        _, weights, rows, _ = dirichlet_basis((lo, hi), size)
+        assert np.abs((rows * weights) @ rows.T - np.eye(size)).max() <= 1e-13, size
+    # Shen's rows vanish at both ends, exactly: P_j(+-1) = (+-1)^j by the recurrence; phi's rows combine them
     ends = np.array(list(curvedq.operators._legendre(np.array([-1.0, 1.0]), n + 1)))
     assert not (ends[:n] - ends[2:]).any()
+
+
+def test_solve_refuses_a_basis_not_orthogonal_on_its_rule():
+    # Shen's raw rows couple degrees k and k + 2 in S, so diag(S)^(-1/2) does not scale S to I; their span,
+    # orthonormalized by dirichlet_basis, gives the betas of the generalized problem in the raw rows
+    import scipy.linalg
+
+    patch = graph_metric_patch(parse_shape("1.5+0.2*sin(rho)"), (0.5, 1.5))
+    (lo, hi), n = patch.domain, 12
+    w, weights, *_ = basis = dirichlet_basis(patch.domain, n)
+    legendre = np.array(list(curvedq.operators._legendre(curvedq.operators._gauss_legendre()[0], n + 1)))
+    slope = -2.0 / (hi - lo) * (2 * np.arange(n) + 3)
+    raw = w, weights, legendre[:n] - legendre[2:], slope[:, None] * legendre[1:-1]
+    op = surface_operator(patch, "laplacian", 1)
+    h, s = galerkin(op, raw)
+    with pytest.raises(ValueError, match="not orthogonal on its rule"):
+        solve(h, s)
+    betas, x = solve(*galerkin(op, basis))
+    want = scipy.linalg.eigh(h, s, eigvals_only=True)
+    assert np.all(np.diff(betas) > 0.0)
+    assert np.abs(betas - want).max() <= 1e-10 * np.abs(want).max(), (betas, want)
+    assert np.abs(x.T @ x - np.eye(n)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("route", FORMULATIONS)
@@ -479,9 +510,8 @@ def test_galerkin_block_of_an_open_patch_is_symmetric_and_positive():
     assert h.shape == s.shape == (12, 12)
     assert np.array_equal(h, h.T) and np.array_equal(s, s.T)
     assert np.linalg.eigvalsh(s).min() > 0.0
-    # Shen's basis couples only functions two degrees apart in S: L_k is orthogonal to L_j, j != k
-    assert np.abs(s[np.abs(np.subtract.outer(range(12), range(12))) % 2 == 1]).max() <= 1e-15
-    assert np.abs(np.triu(s, 3)).max() <= 1e-15
+    # dirichlet_basis's rows are orthonormal on their rule
+    assert np.abs(s - np.eye(12)).max() <= 1e-13
 
 
 def test_hermitian_free_ring_limit():

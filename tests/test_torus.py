@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import curvedq.torus
 from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
-from curvedq.operators import FORMULATIONS, ORDERINGS, fourier_basis, galerkin, surface_operator
+from curvedq.operators import FORMULATIONS, ORDERINGS, fourier_basis, galerkin, solve, surface_operator
 from curvedq.torus import (
     PARITIES,
     TorusProblem,
@@ -550,9 +550,32 @@ def test_laplacian_spectrum_is_the_hermitian_one_at_nu_squared_less_a_quarter():
                 h, s = half_density_weak_form(
                     alpha, nu, "hermitian", parity, problem.n_max, problem.n_quad, c=nu * nu - 0.25
                 )
-                scale = 1.0 / np.sqrt(np.diag(s))
-                shifted = np.linalg.eigvalsh(scale[:, None] * h * scale) - 0.25
+                shifted = solve(h, s)[0] - 0.25
                 assert np.max(np.abs(_block_betas(laplacian, parity) - shifted)) <= 1e-10, (alpha, nu, parity)
+
+
+def test_solve_spectrum_solves_each_parity_block_by_operators_solve(monkeypatch):
+    # each block's betas are operators.solve's on assemble's block, byte for byte, and solve_spectrum gets them
+    # from one call of it per parity: the torus diagonalizes no block of its own
+    calls = []
+
+    def counted(h, s):
+        calls.append(None)
+        return solve(h, s)
+
+    monkeypatch.setattr(curvedq.torus, "solve", counted)
+    for alpha in [0.05, 0.95, *np.random.default_rng(37).uniform(0.05, 0.95, 4)]:
+        for nu in range(5):
+            for formulation in FORMULATIONS:
+                for n_max in (24, 48, 96):
+                    problem = TorusProblem(alpha, nu, formulation, n_max)
+                    calls.clear()
+                    entries = solve_spectrum(problem).entries
+                    assert len(calls) == len(PARITIES), (alpha, nu, formulation, n_max)
+                    for parity in PARITIES:
+                        want = solve(*assemble(problem, parity))[0]
+                        got = _block_betas(entries, parity)
+                        assert got.tobytes() == want.tobytes(), (alpha, nu, formulation, n_max, parity)
 
 
 def test_route_difference_lies_between_its_curvature_bounds():
