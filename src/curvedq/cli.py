@@ -47,8 +47,8 @@ def _fraction_text(text):
 
 
 def _round(x, digits):
-    r = round(float(x), digits)
-    return 0.0 if r == 0.0 else r
+    """x to `digits` decimals: the value of its table cell, so never -0.0."""
+    return float(_cell(float(x), digits))
 
 
 def _round_nonzero(x, digits):
@@ -105,11 +105,9 @@ def _cmd_curvature(ns):
     else:
         if ns.shape is not None:
             src = ns.shape
-        elif ns.shape_file is not None:
+        else:
             with open(ns.shape_file, encoding="utf-8") as fh:
                 src = fh.read().strip()
-        else:
-            raise UsageError("one of --shape, --shape-file or --torus is required")
         expr = parse_shape(src)
         print(f"shape: {expr}", file=sys.stderr)
         if wmin is None or wmax is None:
@@ -351,7 +349,8 @@ def build_parser():
     n_max, nquad_help = torus.TorusProblem.n_max, f"default max({torus.N_QUAD_FLOOR}, 4*nmax + 8)"
 
     cur = subs.add_parser("curvature", help="curvature and V_C samples on a grid (CSV)")
-    src = cur.add_mutually_exclusive_group()
+    cur.set_defaults(handler=_cmd_curvature)
+    src = cur.add_mutually_exclusive_group(required=True)
     src.add_argument("--shape", default=None, help="shape function S(rho), e.g. 'sqrt(4-rho^2)'")
     src.add_argument("--shape-file", default=None, help="file containing the shape function")
     src.add_argument("--torus", nargs=2, type=_fraction, metavar=("R", "A"), default=None)
@@ -362,6 +361,7 @@ def build_parser():
     _add_common(cur, ("csv", "json", "table"))
 
     spec = subs.add_parser("spectrum", help="torus eigenvalues and wave functions")
+    spec.set_defaults(handler=_cmd_spectrum)
     spec.add_argument("--alpha", type=_fraction, required=True)
     spec.add_argument("--nu", type=int, default=0)
     spec.add_argument("--formulation", choices=torus.FORMULATIONS, default=torus.FORMULATIONS[0])
@@ -376,6 +376,7 @@ def build_parser():
     )
 
     cmp_ = subs.add_parser("compare", help="three lowest states per formulation")
+    cmp_.set_defaults(handler=_cmd_compare)
     cmp_.add_argument(
         "--alpha", type=_fraction_text, required=True, help="aspect ratio a/R, fraction or decimal"
     )
@@ -384,10 +385,12 @@ def build_parser():
     _add_common(cmp_, ("table", "csv"))
 
     mag = subs.add_parser("magic", help="aspect ratios cancelling the azimuthal term")
+    mag.set_defaults(handler=_cmd_magic)
     mag.add_argument("--nu", type=int, required=True)
     _add_common(mag, ("json",))
 
     chk = subs.add_parser("check", help="cancellation and Hermiticity residuals")
+    chk.set_defaults(handler=_cmd_check)
     chk.add_argument("--alpha", type=_fraction, default=0.5)
     chk.add_argument("--samples", type=int, default=100)
     chk.add_argument("--seed", type=int, default=7)
@@ -396,15 +399,6 @@ def build_parser():
     for p in (parser, *subs.choices.values()):  # a minus then a digit or .digit is a value: -1e-3, -1/1000
         p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
-
-
-_HANDLERS = {
-    "curvature": _cmd_curvature,
-    "spectrum": _cmd_spectrum,
-    "compare": _cmd_compare,
-    "magic": _cmd_magic,
-    "check": _cmd_check,
-}
 
 
 def run(argv=None):
@@ -425,7 +419,7 @@ def run(argv=None):
             value = getattr(ns, name, least)
             if value < least:
                 raise _integer_error(name, value)
-        text = _HANDLERS[ns.command](ns)
+        text = ns.handler(ns)
         if ns.output:
             with open(ns.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -265,10 +265,9 @@ def listing_key(state):
 
 def table_states(alpha, formulation, n_max=TorusProblem.n_max, n_quad=None):
     """The three lowest states merged across nu = 0, 1 and 2, as SpectrumEntry,
-    in `listing_key` order."""
+    in `listing_key` order: the whole merge is sorted before the cut, as `spectrum` lists."""
     states = []
     for nu in (0, 1, 2):
-        # one state past the three listed, so a degenerate pair at the cut is ordered whole
-        states += solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad)).entries[:4]
+        states += solve_spectrum(TorusProblem(alpha, nu, formulation, n_max, n_quad)).entries
     states.sort(key=listing_key)
     return states[:3]

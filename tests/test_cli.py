@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedq import torus
-from curvedq.cli import UsageError, build_parser, check_cancellation, emit, run
+from curvedq.cli import UsageError, _round, build_parser, check_cancellation, emit, run
 from curvedq.shapes import ShapeExpr, format_expr
 from curvedq.torus import TorusProblem
 
@@ -393,6 +395,17 @@ def test_curvature_requires_a_surface(capsys):
     assert "usage" in err.lower()
 
 
+def test_curvature_without_a_surface_is_refused_by_argparse(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps({"points": 0}), encoding="utf-8")
+    for argv in (["curvature", "--points", "3"], ["curvature", "--config", str(bad)]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: curvedq curvature "), argv
+        assert "(--shape SHAPE | --shape-file SHAPE_FILE | --torus R A)" in err, argv
+        assert err.endswith("error: one of the arguments --shape --shape-file --torus is required\n"), argv
+
+
 def test_curvature_refuses_a_half_given_or_missing_range(capsys):
     for argv, message in (
         (["--torus", "3", "1", "--wmin", "0.1"], "give both --wmin and --wmax, or neither"),
@@ -675,6 +688,25 @@ def test_emit_refuses_an_unknown_format_before_reading_the_payload():
     for payload in ({"a": 1}, (["x"], [[1.0]])):
         with pytest.raises(UsageError, match="unknown format 'xml'"):
             emit(payload, "xml")
+
+
+def _round_by_round(x, digits):
+    """The reference for _round: Python's round, then -0.0 to 0.0."""
+    r = round(float(x), digits)
+    return 0.0 if r == 0.0 else r
+
+
+def test_round_keeps_the_bits_of_the_round_based_body():
+    # both are the correctly rounded decimal of x; compared bit for bit, so -0.0 and nan count
+    rng = random.Random(38)
+    values = [0.0, -0.0, 0.125, -0.125, 2.5, -2.5, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+    values += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-25.0, 25.0) for _ in range(400)]
+    values += [round(rng.uniform(-100.0, 100.0), rng.randint(0, 17)) for _ in range(400)]
+    bits = struct.Struct("<d").pack
+    for x in values:
+        for digits in range(21):
+            assert bits(_round(x, digits)) == bits(_round_by_round(x, digits)), (x, digits)
+            assert bits(_round(np.float64(x), digits)) == bits(_round(x, digits)), (x, digits)
 
 
 def test_emit_negative_zero_normalized():

@@ -329,6 +329,19 @@ def test_graph_frame_refuses_non_finite_fields():
                 read(np.array(grid))
 
 
+def test_graph_frames_refuse_non_finite_fields_on_the_array_path():
+    # S' of 1e200*rho^2 is finite, but S'^2 overflows, so Z is inf and Z' = S' S''/Z is inf/inf
+    shape = parse_shape("1e200*rho^2")
+    patch = graph_metric_patch(shape, (0.5, 1.0))
+    grid = np.array([0.6, 0.7])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="^non-finite metric frame$"):
+        patch.grid(grid)
+    # patch.frame replays the points and names the first
+    with pytest.raises(ShapeDomainError) as info:
+        patch.frame(grid)
+    assert str(info.value) == f"non-finite metric frame in '{shape}' at rho=0.6"
+
+
 def test_curvature_sample_refuses_non_finite_values():
     # finite frames whose k1 - k2 passes 1e154, so V_C = -((k1 - k2)/2)^2/2 overflows:
     # the cone rho at rho = 1e-180 (k2 = -1/(sqrt(2) rho)) and a torus of minor radius 1e-300

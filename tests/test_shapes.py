@@ -229,6 +229,22 @@ def test_overflow_is_reported_by_the_name_of_its_node():
     assert str(info.value) == "cosh overflows in 'cosh(rho)' at rho=-1000.0"
 
 
+def test_a_power_whose_exponent_folds_to_no_integer_fails_at_each_evaluation():
+    # int() refuses the folded exponent (inf, then nan), so the compiler keeps power's
+    # general rule, which raises at every rho, on both carriers
+    overflow = parse_shape("rho^(1e308*10)")
+    for at, rho in ((0.5, 0.5), (np.array([1.5, 0.7]), 1.5)):
+        with pytest.raises(ShapeDomainError) as info:
+            eval_jet3(overflow, at)
+        assert str(info.value) == f"power overflows in 'rho^(1e+308*10.0)' at rho={rho!r}"
+    no_number = parse_shape("rho^(1e308*10-1e308*10)")
+    for evaluate in (eval_jet2, eval_jet3):
+        for at, rho in ((0.5, 0.5), (np.array([1.5, 0.7]), 1.5)):
+            with pytest.raises(ShapeDomainError) as info:
+                evaluate(no_number, at)
+            assert (info.value.subexpr, info.value.rho) == (str(no_number), rho)
+
+
 def test_sqrt_of_a_tiny_constant_is_smooth():
     # sqrt's d2 and d3 factors divide by r*v and r*v*v, which underflow to 0 at
     # v = 1e-200; an argument with no derivative multiplies both by zero, so they

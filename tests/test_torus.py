@@ -427,6 +427,33 @@ def test_table_states_reproduce_reference_spectra():
             assert state.nu == nu_ref
 
 
+# seeded ratios, the golden ones and the hermitian magic ratios; the hermitian nu = 0
+# pairs are degenerate at every alpha, so a cut at three may fall inside one
+_TABLE_ALPHAS = [
+    1.0 / 3.0,
+    0.5,
+    2.0 / 3.0,
+    magic_alpha(1, "hermitian"),
+    magic_alpha(2, "hermitian"),
+    *np.random.default_rng(38).uniform(0.05, 0.95, 4).tolist(),
+]
+
+
+def test_table_states_are_the_head_of_the_whole_sorted_merge():
+    def bits(state):
+        return state.beta, state.nu, state.parity, state.coeffs.tobytes()
+
+    for alpha in _TABLE_ALPHAS:
+        for formulation in FORMULATIONS:
+            for n_max in (8, 24, 48):
+                merged = []
+                for nu in (0, 1, 2):
+                    merged += solve_spectrum(TorusProblem(alpha, nu, formulation, n_max)).entries
+                want = sorted(merged, key=listing_key)[:3]
+                got = table_states(alpha, formulation, n_max)
+                assert list(map(bits, got)) == list(map(bits, want)), (alpha, formulation, n_max)
+
+
 def test_degenerate_pair_listed_odd_first():
     states = table_states(2.0 / 3.0, "hermitian")
     assert states[2].parity == "odd"
