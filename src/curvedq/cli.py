@@ -406,8 +406,7 @@ def run(argv=None):
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        return 0 if exc.code == 0 else 2
 
     try:
         if ns.config:

@@ -48,12 +48,12 @@ factorials c (c-1) ... decided at compile time.  Evaluating a shape runs a
 kernel, so no evaluation dispatches on node types or allocates per node
 beyond the tuples the rules return.
 
-Only '/', '^' and function calls can leave their domain; in the scalar
-kernel each of those nodes reports the failure as a ShapeDomainError naming
-itself and the rho it was evaluated at.  The array kernel reports nothing:
-where it raises, or leaves a non-finite component the scalar kernel refuses,
-jets.on_grid evaluates the points again one at a time by the scalar kernel,
-so an array of rho gets the error of a loop over it, at the first offending rho.
+Only '/', '^' and function calls can leave their domain; in both kernels,
+compiled by one rule, each of those nodes reports the failure as a
+ShapeDomainError naming itself and the rho it was evaluated at.  Where the
+array kernel raises, or leaves a non-finite component the scalar kernel
+refuses, jets.on_grid evaluates the points again one at a time by the scalar
+kernel, so an array of rho gets the error of a loop over it, at the first offending rho.
 """
 
 import math
@@ -146,8 +146,8 @@ class ShapeExpr:
     array_kernel: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, rules, report in (("kernel", jets.SCALAR, _guard), ("array_kernel", jets.ARRAY, _unguarded)):
-            jet = _compile(self.root, rules, report)
+        for name, rules in (("kernel", jets.SCALAR), ("array_kernel", jets.ARRAY)):
+            jet = _compile(self.root, rules)
             object.__setattr__(self, name, jet if callable(jet) else _constant(jet))
 
     def __reduce__(self):
@@ -345,7 +345,7 @@ def _kernel(rule, a, b=None):
 
 
 def _guard(kernel, node):
-    """Report a failure of node's own rule as a ShapeDomainError at x's rho.
+    """Report a failure of node's own rule as a ShapeDomainError at x's rho or grid.
 
     A subexpression's failure arrives already reported and passes through.
     An OverflowError, whose text is an errno tuple (Python's pow) or "math
@@ -366,13 +366,9 @@ def _guard(kernel, node):
     return guarded
 
 
-def _unguarded(kernel, node):
-    return kernel
-
-
-def _apply(rules, report, key, node, args):
+def _apply(rules, key, node, args):
     """Jet of the rule `key` over compiled args: folded now, by the scalar rule,
-    when no arg involves rho; else a kernel, which report wraps when the rule
+    when no arg involves rho; else a kernel, which _guard wraps when the rule
     can leave its domain."""
     if not any(map(callable, args)):
         try:
@@ -380,13 +376,13 @@ def _apply(rules, report, key, node, args):
         except _DOMAIN_ERRORS:
             args = [_constant(a) for a in args]  # fails at each evaluation, with its rho
     kernel = _kernel(rules.table[key], *args)
-    return kernel if key in _TOTAL_RULES else report(kernel, node)
+    return kernel if key in _TOTAL_RULES else _guard(kernel, node)
 
 
-def _compile(node, rules, report):
+def _compile(node, rules):
     """Jet of node: a constant 4-tuple when node does not involve rho, else a
     kernel, a function of the variable jet x = (rho, 1.0, 0.0, 0.0), over the
-    rules of one carrier.
+    rules of one carrier; both carriers guard the same nodes, by _guard.
 
     Children are compiled, and so evaluated, left to right, so the first
     failing subexpression is the one a walk of the tree would meet first.  A
@@ -400,18 +396,18 @@ def _compile(node, rules, report):
     if isinstance(node, Var):
         return _variable
     if isinstance(node, Neg):
-        return _apply(rules, report, "neg", node, [_compile(node.arg, rules, report)])
+        return _apply(rules, "neg", node, [_compile(node.arg, rules)])
     if isinstance(node, BinOp):
-        left, right = _compile(node.left, rules, report), _compile(node.right, rules, report)
+        left, right = _compile(node.left, rules), _compile(node.right, rules)
         if node.op == "^" and callable(left) and not callable(right) and jets._no_derivative(right):
             try:
                 rule = rules.power_rule(right[0])
             except _DOMAIN_ERRORS:
                 pass  # an exponent int() refuses: power fails at each evaluation instead
             else:
-                return report(_kernel(rule, left), node)
-        return _apply(rules, report, node.op, node, [left, right])
-    return _apply(rules, report, node.func, node, [_compile(node.arg, rules, report)])
+                return _guard(_kernel(rule, left), node)
+        return _apply(rules, node.op, node, [left, right])
+    return _apply(rules, node.func, node, [_compile(node.arg, rules)])
 
 
 def _array_jet(expr, rho, count):

@@ -129,20 +129,14 @@ def overlap_analytic(alpha, parity, n_max):
 
 
 def solve_triangular(a, b, lower=False):
-    """Solve a x = b for a triangular matrix a by forward or back substitution.
+    """Solve a x = b, b a vector or a matrix of columns, reading only the triangle
+    of a named by `lower`: numpy's solve on that triangle.
 
-    b may be a vector or a matrix whose columns are solved together; only the
-    triangle of a named by `lower` is read.  The solver does not use it; it
-    stays in this module only because the span tracer of `bench/spans.py`
-    looks it up here by name, and goes when the benchmark stops doing so.
+    The solver does not use it; it stays in this module only because the span
+    tracer of `bench/spans.py` looks it up here by name, and goes when the
+    benchmark stops doing so.
     """
-    a = np.asarray(a, dtype=float)
-    x = np.array(b, dtype=float, copy=True)
-    n = a.shape[0]
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        known = slice(0, i) if lower else slice(i + 1, n)
-        x[i] = (x[i] - a[i, known] @ x[known]) / a[i, i]
-    return x
+    return np.linalg.solve(np.tril(a) if lower else np.triu(a), b)
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):

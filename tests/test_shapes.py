@@ -430,6 +430,23 @@ def test_array_jets_fall_back_where_only_the_scalar_rules_raise():
         eval_jet3(fast, np.array(grid))
 
 
+def test_an_empty_grid_of_a_shape_that_fails_everywhere_names_the_failing_node():
+    # a subtree free of rho that leaves its domain fails at each evaluation; an empty
+    # grid has no point to replay, so the array kernel's own guard reports the node
+    cases = (
+        ("rho+sqrt(-2)", "math domain error", "sqrt(-2.0)"),
+        ("rho*(1/0)", "division by zero", "1.0/0.0"),
+        ("exp(exp(pi*pi))*rho", "exp overflows", "exp(exp(pi*pi))"),
+    )
+    for src, reason, subexpr in cases:
+        for evaluate in (eval_jet2, eval_jet3):
+            with pytest.raises(ShapeDomainError) as info:
+                evaluate(parse_shape(src), np.array([]))
+            assert (info.value.reason, info.value.subexpr) == (reason, subexpr)
+            assert info.value.rho.shape == (0,)
+    assert all(c.shape == (0,) for c in eval_jet3(parse_shape("sqrt(rho)"), np.array([])))
+
+
 def _nodes(node):
     """node and every node below it."""
     yield node

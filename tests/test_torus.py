@@ -12,6 +12,7 @@ from curvedq.cli import selfadjointness_defect
 from curvedq.geometry import torus_metric_patch
 from curvedq.operators import FORMULATIONS, ORDERINGS, fourier_basis, galerkin, solve, surface_operator
 from curvedq.torus import (
+    JacobiConvergenceError,
     PARITIES,
     TorusProblem,
     assemble,
@@ -226,6 +227,46 @@ def test_jacobi_reaches_offdiagonal_target():
     d = vecs.T @ a @ vecs
     off = math.sqrt(float(np.sum(np.triu(d, 1) ** 2) * 2.0))
     assert off <= 1e-9  # reconstruction roundoff dominates; diagonalization itself hit 1e-12
+
+
+def test_jacobi_returns_a_1x1_matrix_as_it_is():
+    vals, vecs = jacobi_eigh([[-2.5]])
+    assert vals.tolist() == [-2.5]
+    assert vecs.tolist() == [[1.0]]
+
+
+def test_jacobi_skips_an_off_diagonal_entry_that_is_exactly_zero():
+    # the (0, 2) and (1, 2) entries stay exactly zero through the (0, 1) rotation,
+    # so the sweep skips those pairs, and the uncoupled 5.0 keeps its bits
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+    vals, vecs = jacobi_eigh(a)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(a))) <= 1e-14
+    assert vals[2] == 5.0
+    assert vecs[:, 2].tolist() == [0.0, 0.0, 1.0]
+    assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - a)) <= 1e-14
+
+
+def test_jacobi_sweep_cap_raises_or_returns_on_the_last_sweep():
+    rng = np.random.default_rng(40)
+    m = rng.normal(size=(6, 6))
+    a = 0.5 * (m + m.T)
+    with pytest.raises(JacobiConvergenceError, match=r"after 1 sweeps"):
+        jacobi_eigh(a, max_sweeps=1)
+    # the fewest sweeps that converge: the loop runs out and the check after it passes
+    fewest = next(k for k in range(2, 41) if _jacobi_converges(a, k))
+    with pytest.raises(JacobiConvergenceError):
+        jacobi_eigh(a, max_sweeps=fewest - 1)
+    vals, vecs = jacobi_eigh(a, max_sweeps=fewest)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(a))) <= 1e-13
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) <= 1e-13
+
+
+def _jacobi_converges(a, max_sweeps):
+    try:
+        jacobi_eigh(a, max_sweeps=max_sweeps)
+    except JacobiConvergenceError:
+        return False
+    return True
 
 
 def test_solve_spectrum_matches_jacobi_oracle():
