@@ -253,13 +253,27 @@ def galerkin(op, basis):
 
 def solve(h, s):
     """Ascending betas of H x = beta S x and the half-density coefficient columns x, for a basis orthogonal on
-    its rule: diag(S)^(-1/2) scales S to I, then one symmetric eigh (Golub & Van Loan, Matrix Computations,
-    section 8.7); ValueError where the scaled S is further than 1e-12 from I."""
+    its rule (and S = I for project's Gram matrix): diag(S)^(-1/2) scales S to I, then the package's one symmetric
+    eigh (Golub & Van Loan, Matrix Computations, 8.7); ValueError where the scaled S is further than 1e-12 from I."""
     scale = 1.0 / np.sqrt(np.diag(s))
     if not np.abs(scale[:, None] * s * scale - np.eye(len(scale))).max() <= 1e-12:
         raise ValueError("the basis is not orthogonal on its rule: diag(S)^(-1/2) S diag(S)^(-1/2) is not I")
     vals, vecs = np.linalg.eigh(scale[:, None] * h * scale)
     return vals, scale[:, None] * vecs
+
+
+def project(vecs, basis, measure):
+    """psi = measure^(-1/2) v of solve's half-density columns vecs, as coefficient columns over basis's rows, on
+    its rule and under the patch measure W given at its nodes: c = S_W^(-1) B x, S_W = int phi_m phi_n W dw,
+    B = int phi_m W^(1/2) phi_n dw; then Loewdin's orthonormalization (J. Chem. Phys. 18, 365 (1950)) by
+    solve(c^T S_W c, I), so c^T S_W c = I in the truncated basis; each column's largest-magnitude entry is > 0."""
+    _, weights, phi, _ = basis
+    s_w = (phi * (weights * measure)) @ phi.T
+    coeffs = np.linalg.solve(s_w, (phi * (weights * np.sqrt(measure))) @ phi.T @ vecs)
+    gram_vals, gram_vecs = solve(coeffs.T @ s_w @ coeffs, np.eye(coeffs.shape[1]))
+    coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
+    pivots = np.take_along_axis(coeffs, np.abs(coeffs).argmax(axis=0)[None], axis=0)
+    return coeffs * np.where(pivots < 0.0, -1.0, 1.0)
 
 
 @functools.lru_cache(maxsize=8)

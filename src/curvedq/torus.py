@@ -18,10 +18,10 @@ ordering, the default, equal to `left` on the torus).  The hermitian nu = 0
 block is therefore -v'' = beta v, the free-ring ladder n^2 at every alpha.
 
 States are reported for psi = u^(-1/2) v in the raw {1, cos n theta} /
-{sin n theta} basis: a projection on the patch measure u, read off the
-torus frame and integrated by the rule that builds H (the tests hold it
-to the closed form `overlap_analytic`), then Loewdin's symmetric
-orthonormalization (Loewdin, J. Chem. Phys. 18, 365 (1950)), so the
+{sin n theta} basis by `operators.project`, the one psi report of every
+patch: a projection on the patch measure u, read off the torus frame at
+the nodes that build H (the tests hold it to the closed form
+`overlap_analytic`), then Loewdin's symmetric orthonormalization, so the
 coefficients satisfy int psi_i psi_j u dtheta = delta_ij in the truncated
 basis exactly; the largest-magnitude coefficient of each state is positive.
 
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import torus_metric_patch
-from .operators import FORMULATIONS, check_formulation, fourier_basis, galerkin, integer, solve, surface_operator
+from .operators import FORMULATIONS, check_formulation, fourier_basis, galerkin, integer, project, solve
+from .operators import surface_operator
 
 PARITIES = ("even", "odd")
 N_QUAD_FLOOR = 128
@@ -196,31 +197,21 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=40):
 def solve_spectrum(problem):
     """Full spectrum of the problem, both parity blocks merged.
 
-    Each half-density block is solved by `operators.solve`; the states are
-    mapped back to psi coefficients, orthonormalized under
-    int |psi|^2 u dtheta and signed as in the module docstring.  Entries
+    Each half-density block is solved by `operators.solve` and its states
+    reported by `operators.project`, as in the module docstring.  Entries
     are sorted by exactly ascending beta; the two states of an exactly
     degenerate pair (the hermitian nu = 0 ladder) come in rounding order.
     The CLI and `table_states` list states by `listing_key`, which puts
     such a pair odd first.
     """
     entries = []
-    # psi = u^(-1/2) v, so int phi_m psi u dtheta = int phi_m u^(1/2) v dtheta, on nodes both blocks share
-    theta, width = fourier_basis(PARITIES[0], problem.n_max, problem.n_quad)[:2]
+    theta = fourier_basis(PARITIES[0], problem.n_max, problem.n_quad)[0]  # the nodes both parities share
     fr = torus_metric_patch(1.0 / problem.alpha, 1.0).frame(theta)
     u = problem.alpha * fr.a1 * fr.a2
-    u_weight, root_weight = width * u, width * np.sqrt(u)
     for parity in PARITIES:
         vals, vecs = solve(*assemble(problem, parity))
-        phi = fourier_basis(parity, problem.n_max, problem.n_quad)[2]
-        s_u = (phi * u_weight) @ phi.T
-        coeffs = np.linalg.solve(s_u, (phi * root_weight) @ phi.T @ vecs)
-        gram_vals, gram_vecs = np.linalg.eigh(coeffs.T @ s_u @ coeffs)
-        coeffs = coeffs @ (gram_vecs / np.sqrt(gram_vals)) @ gram_vecs.T
-        for beta, c in zip(vals, coeffs.T):
-            if c[np.argmax(np.abs(c))] < 0.0:
-                c = -c
-            entries.append(SpectrumEntry(beta=float(beta), nu=problem.nu, parity=parity, coeffs=c))
+        coeffs = project(vecs, fourier_basis(parity, problem.n_max, problem.n_quad), u)
+        entries += (SpectrumEntry(float(beta), problem.nu, parity, c) for beta, c in zip(vals, coeffs.T))
     entries.sort(key=lambda e: e.beta)
     return SpectrumResult(entries=tuple(entries))
 

@@ -21,6 +21,7 @@ from curvedq.operators import (
     hermitian_momenta,
     hermiticity_residual,
     normal_momentum_sq_coeffs,
+    project,
     rescaling_potential,
     solve,
     surface_operator,
@@ -490,6 +491,35 @@ def test_flat_annulus_betas_are_bessel_roots(route):
         assert np.abs(betas - np.square(roots)).max() <= 1e-10, (nu, betas, roots)
         if route == "hermitian" and nu == 0:
             assert np.abs(betas - (math.pi * np.arange(1, 4)) ** 2).max() <= 1e-10, betas
+
+
+def _open_patch_states(patch, route, nu, n=24):
+    """project's psi columns of an open patch in n of Shen's rows, the basis, and the patch's S_W."""
+    w, weights, phi, _ = basis = dirichlet_basis(patch.domain, n)
+    fr = patch.frame(w)
+    measure = fr.a1 * fr.a2
+    coeffs = project(solve(*galerkin(surface_operator(patch, route, nu), basis))[1], basis, measure)
+    return coeffs, basis, (phi * (weights * measure)) @ phi.T
+
+
+def test_flat_annulus_states_are_the_sines_over_root_rho():
+    # S = 1.5 on rho in [1, 2], Hermitian nu = 0: v = sqrt(2) sin(k pi (rho - 1)) on the flat measure, so
+    # psi = W^(-1/2) v = rho^(-1/2) sqrt(2) sin(k pi (rho - 1)) under W = a1 a2 = rho, orthonormal under S_W
+    patch = graph_metric_patch(parse_shape("1.5"), (1.0, 2.0))
+    coeffs, (rho, _, phi, _), s_w = _open_patch_states(patch, "hermitian", 0)
+    assert np.abs(coeffs.T @ s_w @ coeffs - np.eye(24)).max() <= 1e-13
+    # the sign rule: each state's largest-magnitude coefficient is positive
+    assert np.all(np.take_along_axis(coeffs, np.abs(coeffs).argmax(axis=0)[None], axis=0) > 0.0)
+    for k in (1, 2, 3):
+        psi = phi.T @ coeffs[:, k - 1]
+        want = math.sqrt(2.0) * np.sin(k * math.pi * (rho - 1.0)) / np.sqrt(rho)
+        assert min(np.abs(psi - want).max(), np.abs(psi + want).max()) <= 1e-12, k
+
+
+def test_open_patch_states_are_orthonormal_under_the_patch_measure():
+    patch = graph_metric_patch(parse_shape("1.5+0.2*sin(rho)"), (0.5, 1.5))
+    coeffs, _, s_w = _open_patch_states(patch, "laplacian", 1)
+    assert np.abs(coeffs.T @ s_w @ coeffs - np.eye(24)).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

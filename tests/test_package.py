@@ -1,5 +1,6 @@
-"""The lazy package namespace and the BLAS thread count of a CLI process."""
+"""The lazy package namespace, the BLAS thread count of a CLI process, and the one eigensolver of src/."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -129,3 +130,28 @@ def test_every_function_the_span_tracer_wraps_resolves_in_its_module():
     assert spans.TARGETS
     for module, name in spans.TARGETS:
         assert callable(getattr(importlib.import_module(f"curvedq.{module}"), name)), (module, name)
+
+
+def _eigensolver_calls(tree):
+    """(enclosing function, expression) of each eig, eigh, eigvals or eigvalsh named in a module's tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+            if name in ("eig", "eigh", "eigvals", "eigvalsh"):
+                found.append((function, ast.unparse(child)))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_operators_solve_holds_the_one_eigensolver_call():
+    # every patch's blocks and the Gram matrix of operators.project go through operators.solve; the Jacobi
+    # oracle of curvedq.torus rotates by hand and calls none
+    calls = {path.stem: _eigensolver_calls(ast.parse(path.read_text())) for path in (SRC / "curvedq").glob("*.py")}
+    assert {module: found for module, found in calls.items() if found} == {"operators": [("solve", "np.linalg.eigh")]}

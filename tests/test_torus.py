@@ -449,6 +449,19 @@ def test_convergence_in_basis_size():
             assert abs(coarse.entries[i].beta - fine.entries[i].beta) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 0.85])
+def test_default_basis_resolves_the_eight_lowest_betas(alpha):
+    # the range the README states for --nmax 24: within 1e-8 of n_max 192 (measured 3.8e-11 at most);
+    # at alpha 0.9 the gap is 3.2e-8, and 9.0e-4 at 0.95
+    for nu in range(4):
+        for formulation in FORMULATIONS:
+            default, fine = (
+                [e.beta for e in solve_spectrum(TorusProblem(alpha, nu, formulation, n_max)).entries[:8]]
+                for n_max in (24, 192)
+            )
+            assert np.abs(np.subtract(default, fine)).max() <= 1e-8, (nu, formulation, default, fine)
+
+
 TABLE_BETAS = {
     (1.0 / 3.0, "laplacian"): [(-0.2834, 0), (-0.1528, 1), (0.1968, 2)],
     (1.0 / 3.0, "hermitian"): [(0.0, 0), (0.1267, 1), (0.4735, 2)],
